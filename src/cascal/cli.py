@@ -139,7 +139,7 @@ def _load_any_model(path: str):
         if tag == lut.METHOD_LUT:
             return LutCascade.from_dict(doc)
         return cascade.model_from_dict(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, CascalError) as exc:
         raise _ConfigFail(f"{path}: not a valid model file: {exc}")
 
 

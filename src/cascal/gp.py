@@ -6,20 +6,23 @@ just an i.i.d. noise level.  That matrix enters the Gram system and the
 marginal likelihood alongside the learned noise variance, which is what
 lets a second regression stage consume the uncertainty of a first one.
 
-Hyperparameters are selected by empirical Bayes: a derivative-free simplex
-search maximizes the log marginal likelihood in log-parameter space, from
-several deterministic starting points.
+Hyperparameters are selected by empirical Bayes: a bounded quasi-Newton
+search (L-BFGS-B) maximizes the log marginal likelihood in log-parameter
+space, from several deterministic starting points, driven by its analytic
+gradient.  Fitting, the evidence and its gradient share one conditioning
+path, so each evaluation factors the Gram matrix once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
 
-from .errors import OptimizationFailed
+from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 from .numerics import PsdFactor, factor_psd, log_det, solve_psd
 
@@ -107,9 +110,55 @@ class GPPosterior:
     gram_factor: PsdFactor
     weights: np.ndarray
 
-    @property
-    def train_inputs(self) -> np.ndarray:
-        return self.train.inputs
+
+class _Conditioned(NamedTuple):
+    """One factorization of the Gram matrix and what is read off it.
+
+    ``grad`` holds d lml / d(log length_scale, log signal_variance,
+    log noise_variance), or None when it was not requested.
+    """
+
+    factor: PsdFactor
+    alpha: np.ndarray
+    lml: float
+    grad: np.ndarray | None
+
+
+def _condition(
+    ts: TrainingSet, hp: Hyperparameters, mean: PriorMean, with_grad: bool = False
+) -> _Conditioned:
+    """Factor Kt = K + target_cov + noise_variance * I once and read it off.
+
+    alpha solves Kt against the mean-centered residual r, and
+
+        lml = -0.5 * r' alpha - 0.5 * log|Kt| - n/2 * log(2 pi)
+        d lml / d theta = 0.5 * tr((alpha alpha' - Kt^-1) dKt/dtheta)
+
+    (Rasmussen & Williams, eq. 5.9) over the log-hyperparameters, with the
+    jitter the factorization needed held fixed.  target_cov does not
+    depend on the hyperparameters, so it drops out of the derivatives.
+    """
+    k = kernel_matrix(ts.inputs, ts.inputs, hp)
+    gram = k + ts.target_cov + hp.noise_variance * np.eye(ts.n)
+    factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
+    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
+    alpha = solve_psd(factor, residual)
+    lml = float(
+        -0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * ts.n * LOG_2PI
+    )
+    grad = None
+    if with_grad:
+        w = np.outer(alpha, alpha) - solve_psd(factor, np.eye(ts.n))
+        wk = w * k
+        scaled_sq = np.square(
+            (ts.inputs[:, None] - ts.inputs[None, :]) / hp.length_scale
+        )
+        grad = 0.5 * np.array([
+            np.sum(wk * scaled_sq),
+            np.sum(wk),
+            hp.noise_variance * np.trace(w),
+        ])
+    return _Conditioned(factor, alpha, lml, grad)
 
 
 def fit(ts: TrainingSet, hp: Hyperparameters, mean: PriorMean) -> GPPosterior:
@@ -118,18 +167,8 @@ def fit(ts: TrainingSet, hp: Hyperparameters, mean: PriorMean) -> GPPosterior:
     The Gram matrix is K(inputs, inputs) + target_cov + noise_variance * I;
     the weight vector solves it against the mean-centered targets.
     """
-    gram = _gram(ts, hp)
-    factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
-    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    weights = solve_psd(factor, residual)
-    return GPPosterior(hp=hp, mean=mean, train=ts, gram_factor=factor, weights=weights)
-
-
-def _gram(ts: TrainingSet, hp: Hyperparameters) -> np.ndarray:
-    k = kernel_matrix(ts.inputs, ts.inputs, hp)
-    if ts.n:
-        k = k + ts.target_cov + hp.noise_variance * np.eye(ts.n)
-    return k
+    c = _condition(ts, hp, mean)
+    return GPPosterior(hp=hp, mean=mean, train=ts, gram_factor=c.factor, weights=c.alpha)
 
 
 def predict_mean(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
@@ -171,18 +210,19 @@ def log_marginal_likelihood(
     """
     if ts.n == 0:
         return 0.0
-    gram = _gram(ts, hp)
-    factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
-    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    alpha = solve_psd(factor, residual)
-    return float(
-        -0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * ts.n * LOG_2PI
-    )
+    return _condition(ts, hp, mean).lml
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the multi-start simplex search over log-parameters."""
+    """Settings for the multi-start L-BFGS-B search over log-parameters.
+
+    ``max_iters`` caps the iterations of each start (L-BFGS-B's
+    ``maxiter``).  ``rel_tol`` is its ``ftol``: a start stops once an
+    iteration lowers the negative evidence by less than that fraction of
+    max(|f|, |f at the start|, 1).  Every log-parameter is bounded to
+    [``log_lower``, ``log_upper``].
+    """
 
     start_offsets: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)
     max_iters: int = 400
@@ -242,6 +282,15 @@ def _unpack(x: np.ndarray, fix_noise: float | None) -> Hyperparameters:
     )
 
 
+#: Failures of one evidence evaluation that count as "no finite evidence
+#: here"; anything else is a programming error and propagates.
+_NUMERICAL_ERRORS = (CascalError, ValueError, np.linalg.LinAlgError)
+
+#: L-BFGS-B's projected-gradient tolerance, on the objective scaled by
+#: max(1, |f(x0)|) for each start.
+_PGTOL = 1e-9
+
+
 def optimize_hyperparameters(
     ts: TrainingSet,
     hp0: Hyperparameters,
@@ -251,11 +300,14 @@ def optimize_hyperparameters(
 ) -> Hyperparameters:
     """Maximize the log marginal likelihood over the hyperparameters.
 
-    Runs a Nelder-Mead simplex over (log length_scale, log signal_variance,
-    log noise_variance), multi-started by adding each configured offset to
-    every coordinate of hp0's log-parameters; parameters are projected into
-    the search box.  The best finite result is returned, and it is never
-    worse than hp0 itself.
+    Runs L-BFGS-B with the analytic gradient over (log length_scale,
+    log signal_variance, log noise_variance), bounded to the search box and
+    multi-started by adding each configured offset to every coordinate of
+    hp0's log-parameters.  Each start's objective is divided by
+    max(1, |f(x0)|): at a tiny starting noise variance the raw gradient is
+    large enough that the first (steepest-descent) step would otherwise
+    jump to a corner of the box.  The best finite result is returned, and
+    it is never worse than hp0 itself.
 
     Parameters
     ----------
@@ -273,13 +325,16 @@ def optimize_hyperparameters(
 
     lo, hi = cfg.log_lower, cfg.log_upper
 
-    def objective(x: np.ndarray) -> float:
-        hp = _unpack(np.clip(x, lo, hi), fix_noise)
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Negative evidence and its gradient; inf where it is not finite."""
         try:
-            lml = log_marginal_likelihood(ts, hp, mean)
-        except Exception:
-            return np.inf
-        return -lml if np.isfinite(lml) else np.inf
+            c = _condition(ts, _unpack(x, fix_noise), mean, with_grad=True)
+        except _NUMERICAL_ERRORS:
+            return np.inf, np.zeros_like(x)
+        grad = c.grad[: x.size]
+        if not (np.isfinite(c.lml) and np.all(np.isfinite(grad))):
+            return np.inf, np.zeros_like(x)
+        return -c.lml, -grad
 
     # hp0 itself (noise pinned if requested) is always a candidate, so the
     # result is never worse than the starting point.
@@ -287,7 +342,7 @@ def optimize_hyperparameters(
         hp0 = Hyperparameters(hp0.length_scale, hp0.signal_variance, fix_noise)
     try:
         lml0 = log_marginal_likelihood(ts, hp0, mean)
-    except Exception:
+    except _NUMERICAL_ERRORS:
         lml0 = -np.inf
     best_hp = hp0
     best_f = -lml0 if np.isfinite(lml0) else np.inf
@@ -295,23 +350,27 @@ def optimize_hyperparameters(
     x0_center = np.clip(_pack(hp0, fix_noise), lo, hi)
     for offset in cfg.start_offsets:
         x0 = np.clip(x0_center + offset, lo, hi)
-        f0 = objective(x0)
+        f0, g0 = objective(x0)
         if not np.isfinite(f0):
             continue
+        scale = max(1.0, abs(f0))
+
+        def scaled(x: np.ndarray) -> tuple[float, np.ndarray]:
+            f, g = (f0, g0) if np.array_equal(x, x0) else objective(x)
+            return f / scale, g / scale
+
         result = scipy.optimize.minimize(
-            objective,
+            scaled,
             x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iters,
-                "xatol": 1e-6,
-                "fatol": cfg.rel_tol * max(1.0, abs(f0)),
-            },
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(lo, hi)] * x0.size,
+            options={"maxiter": cfg.max_iters, "ftol": cfg.rel_tol, "gtol": _PGTOL},
         )
-        f_final = objective(result.x)
+        f_final = float(result.fun) * scale
         if np.isfinite(f_final) and f_final < best_f:
             best_f = f_final
-            best_hp = _unpack(np.clip(result.x, lo, hi), fix_noise)
+            best_hp = _unpack(result.x, fix_noise)
 
     if not np.isfinite(best_f):
         raise OptimizationFailed(

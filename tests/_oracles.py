@@ -3,11 +3,18 @@
 Everything here deliberately avoids the library's solve path: posteriors
 use an explicit dense inverse (numpy's LU-based ``inv``) and the evidence
 uses ``slogdet``, so agreement with the package is a two-route check.
+The one exception is ``optimize_nelder_mead``, a reference for the
+hyperparameter *search*: it maximizes the package's own evidence, so that
+only the search differs from the package's.
 """
 
-import numpy as np
+import math
 
-from cascal.kernels import eval_prior_mean, kernel_matrix
+import numpy as np
+import scipy.optimize
+
+from cascal.gp import OptimizerConfig, log_marginal_likelihood
+from cascal.kernels import Hyperparameters, eval_prior_mean, kernel_matrix
 
 
 def gram(ts, hp, jitter=0.0):
@@ -47,3 +54,50 @@ def random_spd(rng, n, cond=100.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     eigs = np.linspace(1.0 / cond, 1.0, n)
     return (q * eigs) @ q.T
+
+
+def optimize_nelder_mead(ts, hp0, mean, cfg=OptimizerConfig(), fix_noise=None):
+    """Derivative-free multi-start simplex search for the evidence maximum.
+
+    Starts, box and the "never worse than hp0" rule are those of
+    ``gp.optimize_hyperparameters``; the search is Nelder-Mead on the
+    log-parameters, projected into the box.  Returns the best
+    hyperparameters found.
+    """
+    lo, hi = cfg.log_lower, cfg.log_upper
+
+    def unpack(x):
+        x = np.clip(x, lo, hi)
+        noise = math.exp(x[2]) if fix_noise is None else fix_noise
+        return Hyperparameters(math.exp(x[0]), math.exp(x[1]), noise)
+
+    def objective(x):
+        lml = log_marginal_likelihood(ts, unpack(x), mean)
+        return -lml if np.isfinite(lml) else np.inf
+
+    if fix_noise is not None:
+        hp0 = Hyperparameters(hp0.length_scale, hp0.signal_variance, fix_noise)
+    best_hp = hp0
+    best_f = -log_marginal_likelihood(ts, hp0, mean)
+    logs = [math.log(hp0.length_scale), math.log(hp0.signal_variance)]
+    if fix_noise is None:
+        logs.append(math.log(hp0.noise_variance))
+    x0_center = np.clip(np.array(logs), lo, hi)
+    for offset in cfg.start_offsets:
+        x0 = np.clip(x0_center + offset, lo, hi)
+        f0 = objective(x0)
+        result = scipy.optimize.minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": cfg.max_iters,
+                "xatol": 1e-6,
+                "fatol": cfg.rel_tol * max(1.0, abs(f0)),
+            },
+        )
+        f_final = objective(result.x)
+        if f_final < best_f:
+            best_f = f_final
+            best_hp = unpack(result.x)
+    return best_hp

@@ -294,6 +294,23 @@ class TestPredict:
         rows = list(csv.DictReader(open(outp)))
         assert float(rows[0]["var"]) <= float(rows[1]["var"])
 
+    def test_non_psd_target_cov_exits_2(self, identity_model, tmp_path):
+        doc = json.loads(identity_model.read_text())
+        n = len(doc["stage_two"]["train_inputs"])
+        doc["stage_two"]["target_cov"] = (-np.eye(n)).tolist()
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(doc))
+        inp = tmp_path / "in.csv"
+        inp.write_text("x\n0.5\n")
+        result = invoke(
+            "predict", "--model", model_path, "--input", inp,
+            "--out", tmp_path / "o.csv",
+        )
+        assert result.exit_code == 2
+        assert "not a valid model file" in result.stderr
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_x_column_exits_2(self, identity_model, tmp_path):
         inp = tmp_path / "in.csv"
         inp.write_text("value\n0.5\n")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cascal import cascade, gp, sim
 from cascal.errors import NotPositiveDefinite
 from cascal.gp import (
     OptimizerConfig,
     TrainingSet,
+    _condition,
     default_hp0,
     fit,
     log_marginal_likelihood,
@@ -295,6 +297,29 @@ class TestOptimizeHyperparameters:
         b = optimize_hyperparameters(ts, hp0)
         assert a == b
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(gp, "kernel_matrix", broken)
+        ts, hp, _ = random_problem(11, 8)
+        with pytest.raises(TypeError, match="broken kernel"):
+            optimize_hyperparameters(ts, hp)
+
+    def test_unfactorable_starts_are_skipped(self, monkeypatch):
+        # every evaluation away from hp0 fails numerically: the search
+        # gives up on those starts and returns hp0
+        ts, hp, _ = random_problem(12, 8)
+        real = gp._condition
+
+        def only_at_hp0(ts_, hp_, mean, with_grad=False):
+            if hp_ != hp:
+                raise NotPositiveDefinite("forced")
+            return real(ts_, hp_, mean, with_grad)
+
+        monkeypatch.setattr(gp, "_condition", only_at_hp0)
+        assert optimize_hyperparameters(ts, hp) == hp
+
     def test_default_start_is_scale_aware(self):
         x = np.linspace(2.0, 4.0, 20)
         targets = x + 0.1 * np.sin(3.0 * x)
@@ -305,6 +330,72 @@ class TestOptimizeHyperparameters:
             np.var(targets - x), rel=1e-12
         )
         assert hp0.noise_variance == 1e-8
+
+
+def _log_hp(hp: Hyperparameters, step: np.ndarray) -> Hyperparameters:
+    """hp with each parameter multiplied by exp(step)."""
+    return Hyperparameters(
+        hp.length_scale * np.exp(step[0]),
+        hp.signal_variance * np.exp(step[1]),
+        hp.noise_variance * np.exp(step[2]),
+    )
+
+
+class TestConditionGradient:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("noise", ["free", "fixed at 0"])
+    def test_matches_central_differences(self, seed, noise):
+        ts, hp, _ = random_problem(40 + seed, 12)
+        if noise == "fixed at 0":
+            hp = Hyperparameters(hp.length_scale, hp.signal_variance, 0.0)
+        c = _condition(ts, hp, IDENTITY, with_grad=True)
+        assert c.factor.jitter_used == 0.0
+        h = 1e-5
+        fd = np.empty(3)
+        for i in range(3):
+            step = np.zeros(3)
+            step[i] = h
+            up = _condition(ts, _log_hp(hp, step), IDENTITY).lml
+            down = _condition(ts, _log_hp(hp, -step), IDENTITY).lml
+            fd[i] = (up - down) / (2 * h)
+        np.testing.assert_allclose(c.grad, fd, rtol=1e-6, atol=1e-8)
+        if noise == "fixed at 0":
+            assert c.grad[2] == 0.0
+
+    def test_fit_and_evidence_read_the_same_conditioning(self):
+        ts, hp, _ = random_problem(47, 9)
+        c = _condition(ts, hp, IDENTITY, with_grad=True)
+        p = fit(ts, hp, IDENTITY)
+        np.testing.assert_array_equal(c.alpha, p.weights)
+        assert c.lml == log_marginal_likelihood(ts, hp, IDENTITY)
+        assert _condition(ts, hp, IDENTITY).grad is None
+
+
+class TestSearchParity:
+    """The gradient search reaches a simplex search's optimum or better."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_optimum_at_least_nelder_mead(self, seed):
+        pair, _ = sim.sample_truth_pair(seed)
+        d1 = sim.generate_d1(pair, 20, sim.substream(seed, 1))
+        d2 = sim.generate_d2(pair, 30, 3, 6, sim.substream(seed, 2))
+        stage_one = cascade.calibrate_stage_one(d2)
+        sets = {
+            "stage one": TrainingSet.exact(d2.x, d2.y),
+            "bayes stage two": cascade.propagate(d1, stage_one),
+            "alt1 stage two": cascade.calibrate_alternative1(
+                d1, d2, stage_one=stage_one
+            ).stage_two.train,
+        }
+        runs = [(name, ts, None) for name, ts in sets.items()]
+        runs += [(name + ", strict", ts, 0.0) for name, ts in list(sets.items())[1:]]
+        for name, ts, fix_noise in runs:
+            hp0 = default_hp0(ts, IDENTITY)
+            ours = optimize_hyperparameters(ts, hp0, fix_noise=fix_noise)
+            ref = _oracles.optimize_nelder_mead(ts, hp0, IDENTITY, fix_noise=fix_noise)
+            assert log_marginal_likelihood(ts, ours, IDENTITY) >= (
+                log_marginal_likelihood(ts, ref, IDENTITY) - 1e-6
+            ), name
 
 
 class TestSerialization:
