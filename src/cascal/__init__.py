@@ -35,6 +35,7 @@ from .gp import (
     optimize_hyperparameters,
     predict_cov,
     predict_mean,
+    predict_var,
 )
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix, se_kernel
 from .lut import LookupTable, LutCascade, build_lut, calibrate_lut_cascade, lut_eval

@@ -97,7 +97,7 @@ class CascadeModel:
 
     def apply_variance(self, y1: np.ndarray) -> np.ndarray:
         """Posterior variance of the corrected positions."""
-        return np.diag(gp.predict_cov(self.stage_two, y1)).copy()
+        return gp.predict_var(self.stage_two, y1)
 
 
 def calibrate_stage_one(
@@ -170,11 +170,6 @@ def calibrate_alternative1(
     propagated = TrainingSet(inputs=d1.x, targets=targets, target_cov=cov)
     stage_two = _fit_stage_two(propagated, cfg)
     return CascadeModel(stage_one, stage_two, METHOD_ALT1, cfg)
-
-
-def apply(model: CascadeModel, y1: np.ndarray) -> np.ndarray:
-    """Function form of :meth:`CascadeModel.apply`."""
-    return model.apply(y1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -323,9 +324,12 @@ def _read_x_column(path: str) -> np.ndarray:
             xs = []
             for row_no, row in enumerate(reader, start=2):
                 try:
-                    xs.append(float(row["x"]))
+                    x = float(row["x"])
                 except (TypeError, ValueError):
                     raise _ConfigFail(f"{path}: row {row_no}: non-numeric x")
+                if not math.isfinite(x):
+                    raise _ConfigFail(f"{path}: row {row_no}: non-finite x")
+                xs.append(x)
     except OSError as exc:
         raise _ConfigFail(f"cannot read {path}: {exc}")
     return np.array(xs)

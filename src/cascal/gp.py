@@ -24,7 +24,7 @@ import scipy.optimize
 
 from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
-from .numerics import PsdFactor, factor_psd, log_det, solve_psd
+from .numerics import PsdFactor, factor_psd, log_det, solve_lower, solve_psd
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -196,6 +196,23 @@ def predict_cov(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
         cov = 0.5 * (cov + cov.T)
         np.fill_diagonal(cov, np.maximum(np.diag(cov), 0.0))
     return cov
+
+
+def predict_var(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
+    """Posterior variance of the latent function at each query position.
+
+    The diagonal of :func:`predict_cov` without forming the matrix:
+    signal_variance - sum_i (L^-1 k*')_i^2 (Rasmussen & Williams,
+    Alg. 2.1), from the stored factor L and clamped at zero.  Time and
+    memory are linear in the number of query points.
+    """
+    y_star = np.asarray(y_star, dtype=float).ravel()
+    var = np.full(y_star.shape, p.hp.signal_variance)
+    if p.train.n:
+        k_star = kernel_matrix(y_star, p.train.inputs, p.hp)
+        v = solve_lower(p.gram_factor, k_star.T)
+        var = np.maximum(var - np.einsum("ij,ij->j", v, v), 0.0)
+    return var
 
 
 def log_marginal_likelihood(

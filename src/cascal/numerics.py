@@ -120,6 +120,21 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((f.lower_triangular, True), b)
 
 
+def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
+    """Solve L X = B with the stored lower-triangular factor alone.
+
+    Half of :func:`solve_psd`: ``sum(X**2, axis=0)`` is the quadratic form
+    B' (A + jitter*I)^-1 B column by column, without forming it across
+    columns.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != f.n:
+        raise DimensionMismatch(
+            f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
+        )
+    return scipy.linalg.solve_triangular(f.lower_triangular, b, lower=True)
+
+
 def log_det(f: PsdFactor) -> float:
     """Log-determinant of the factored (jittered) matrix."""
     if f.n == 0:

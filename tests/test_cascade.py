@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,38 @@ class TestApply:
         assert model.apply(np.array([x[4]]))[0] == pytest.approx(
             targets[4], abs=1e-6
         )
+
+
+@pytest.fixture(scope="module")
+def sparse_model():
+    """A bayes cascade fitted on 26 reference and 30 device pairs."""
+    pair, _ = sim.sample_truth_pair(0)
+    d1 = sim.generate_d1(pair, 30, sim.substream(0, 1))
+    d2 = sim.generate_d2(pair, 40, 3, 8, sim.substream(0, 2))
+    assert (d2.n, d1.n) == (26, 30)
+    return calibrate_cascaded(d1, d2)
+
+
+class TestApplyVariance:
+    def test_equals_predict_cov_diagonal(self, sparse_model):
+        xs = np.linspace(-0.1, 1.1, 500)
+        expected = np.diag(predict_cov(sparse_model.stage_two, xs))
+        np.testing.assert_allclose(
+            sparse_model.apply_variance(xs), expected, rtol=0,
+            atol=1e-12 * sparse_model.stage_two.hp.signal_variance,
+        )
+
+    def test_memory_linear_in_readings(self, sparse_model):
+        # the m x m covariance at 5,000 readings alone would be 200 MB
+        xs = np.linspace(-0.1, 1.1, 5000)
+        tracemalloc.start()
+        try:
+            var = sparse_model.apply_variance(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert var.shape == (5000,)
+        assert peak < 32 * 2**20
 
 
 class TestDatasetCsv:

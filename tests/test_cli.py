@@ -311,6 +311,19 @@ class TestPredict:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("with_variance", [False, True])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_x_exits_2(self, identity_model, tmp_path, value,
+                                  with_variance):
+        inp = tmp_path / "in.csv"
+        inp.write_text(f"x\n0.5\n{value}\n")
+        args = ["predict", "--model", identity_model, "--input", inp,
+                "--out", tmp_path / "o.csv"]
+        result = invoke(*args, *(["--with-variance"] if with_variance else []))
+        assert result.exit_code == 2
+        assert "row 3: non-finite x" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_x_column_exits_2(self, identity_model, tmp_path):
         inp = tmp_path / "in.csv"
         inp.write_text("value\n0.5\n")

@@ -18,6 +18,7 @@ from cascal.gp import (
     posterior_to_dict,
     predict_cov,
     predict_mean,
+    predict_var,
 )
 from cascal.kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 
@@ -129,6 +130,9 @@ class TestPredictCov:
         np.testing.assert_array_equal(
             predict_cov(p, y_star), kernel_matrix(y_star, y_star, HP)
         )
+        np.testing.assert_array_equal(
+            predict_var(p, y_star), np.full(3, HP.signal_variance)
+        )
 
     def test_noiseless_variance_pinned_at_training_points(self):
         hp = Hyperparameters(0.5, 1.0, 0.0)
@@ -136,6 +140,7 @@ class TestPredictCov:
         p = fit(ts, hp, IDENTITY)
         var = np.diag(predict_cov(p, ts.inputs))
         assert np.all(var <= 1e-8 * hp.signal_variance)
+        assert np.all(predict_var(p, ts.inputs) <= 1e-8 * hp.signal_variance)
 
     def test_matches_bruteforce(self):
         ts, hp, y_star = random_problem(13, 3, m=4)
@@ -145,6 +150,9 @@ class TestPredictCov:
         )
         np.testing.assert_allclose(
             predict_cov(p, y_star), expected, rtol=1e-10, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            predict_var(p, y_star), np.diag(expected), rtol=1e-10, atol=1e-12
         )
 
     def test_symmetric_and_nonnegative_diagonal(self):
@@ -158,6 +166,8 @@ class TestPredictCov:
             ts, hp, y_star = random_problem(100 + seed, 6, m=8)
             c = predict_cov(fit(ts, hp, IDENTITY), y_star)
             assert np.all(np.diag(c) <= hp.signal_variance + 1e-10)
+            var = predict_var(fit(ts, hp, IDENTITY), y_star)
+            assert np.all((var >= 0.0) & (var <= hp.signal_variance + 1e-10))
 
 
 class TestLogMarginalLikelihood:
@@ -209,6 +219,11 @@ class TestOracleEquivalence:
             predict_cov(p, y_star),
             _oracles.predict_cov_bruteforce(ts, hp, IDENTITY, y_star, jit),
             rtol=1e-9, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            predict_var(p, y_star),
+            np.diag(_oracles.predict_cov_bruteforce(ts, hp, IDENTITY, y_star, jit)),
+            rtol=1e-10, atol=1e-12,
         )
         assert log_marginal_likelihood(ts, hp, IDENTITY) == pytest.approx(
             _oracles.lml_bruteforce(ts, hp, IDENTITY, jit), rel=1e-9
