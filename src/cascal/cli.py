@@ -322,13 +322,13 @@ def _read_x_column(path: str) -> np.ndarray:
             if reader.fieldnames is None or "x" not in reader.fieldnames:
                 raise _ConfigFail(f"{path}: expected a CSV with an 'x' column")
             xs = []
-            for row_no, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
                     x = float(row["x"])
                 except (TypeError, ValueError):
-                    raise _ConfigFail(f"{path}: row {row_no}: non-numeric x")
+                    raise _ConfigFail(f"{path}: row {reader.line_num}: non-numeric x")
                 if not math.isfinite(x):
-                    raise _ConfigFail(f"{path}: row {row_no}: non-finite x")
+                    raise _ConfigFail(f"{path}: row {reader.line_num}: non-finite x")
                 xs.append(x)
     except OSError as exc:
         raise _ConfigFail(f"cannot read {path}: {exc}")

@@ -24,7 +24,14 @@ import scipy.optimize
 
 from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
-from .numerics import PsdFactor, factor_psd, log_det, solve_lower, solve_psd
+from .numerics import (
+    PsdFactor,
+    factor_psd,
+    inverse_psd,
+    log_det,
+    solve_lower,
+    solve_psd,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -148,15 +155,21 @@ def _condition(
     )
     grad = None
     if with_grad:
-        w = np.outer(alpha, alpha) - solve_psd(factor, np.eye(ts.n))
-        wk = w * k
+        # inverse_psd fills only the lower triangle of Kt^-1.  Kt^-1 is
+        # symmetric, so its sum against a symmetric matrix is twice the
+        # lower triangle's minus the diagonal's: k's diagonal is the signal
+        # variance and k * sq's is zero.
+        kinv = inverse_psd(factor)
+        trace_kinv = np.trace(kinv)
         scaled_sq = np.square(
             (ts.inputs[:, None] - ts.inputs[None, :]) / hp.length_scale
         )
+        k_sq = k * scaled_sq
         grad = 0.5 * np.array([
-            np.sum(wk * scaled_sq),
-            np.sum(wk),
-            hp.noise_variance * np.trace(w),
+            alpha @ k_sq @ alpha - 2.0 * np.sum(kinv * k_sq),
+            alpha @ k @ alpha - 2.0 * np.sum(kinv * k)
+            + hp.signal_variance * trace_kinv,
+            hp.noise_variance * (alpha @ alpha - trace_kinv),
         ])
     return _Conditioned(factor, alpha, lml, grad)
 

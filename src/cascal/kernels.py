@@ -128,8 +128,15 @@ def kernel_matrix(
     """
     y_a = np.asarray(y_a, dtype=float).ravel()
     y_b = np.asarray(y_b, dtype=float).ravel()
-    diff = (y_a[:, None] - y_b[None, :]) / hp.length_scale
-    return hp.signal_variance * np.exp(-0.5 * diff * diff)
+    # In place: above glibc's mmap threshold every m x n temporary is a
+    # fresh mapping that page-faults on first touch.
+    diff = y_a[:, None] - y_b[None, :]
+    diff /= hp.length_scale
+    k = -0.5 * diff
+    k *= diff
+    np.exp(k, out=k)
+    k *= hp.signal_variance
+    return k
 
 
 def eval_prior_mean(m: PriorMean, y: np.ndarray) -> np.ndarray:

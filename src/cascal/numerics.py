@@ -1,8 +1,9 @@
 """Dense symmetric positive-definite linear algebra with a jitter policy.
 
-Every Gram-matrix factorization, solve and log-determinant in the toolkit
-goes through this module, so the stabilization policy (escalating diagonal
-jitter) lives in exactly one place.
+Every Gram-matrix factorization, solve, inverse and log-determinant in the
+toolkit goes through this module, so the stabilization policy (escalating
+diagonal jitter) lives in exactly one place.  The factor, the solve and the
+inverse call LAPACK's dpotrf, dpotrs and dpotri directly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -87,18 +89,16 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
 
     diag_max = float(np.max(np.diag(a)))
     base = 1e-12 * diag_max if diag_max > 0 else 1e-12
-    eye = np.eye(n)
 
     jitter = 0.0
     for attempt in range(MAX_JITTER_RETRIES + 1):
-        try:
-            lower = np.linalg.cholesky(a + jitter * eye if jitter else a)
+        lower, info = dpotrf(a + jitter * np.eye(n) if jitter else a, lower=1)
+        if info == 0:
             return PsdFactor(lower_triangular=lower, jitter_used=jitter)
-        except np.linalg.LinAlgError:
-            if jitter >= max_jitter:
-                break
-            nxt = base * JITTER_GROWTH**attempt
-            jitter = min(nxt, max_jitter)
+        if jitter >= max_jitter:
+            break
+        nxt = base * JITTER_GROWTH**attempt
+        jitter = min(nxt, max_jitter)
     raise NotPositiveDefinite(
         f"factorization failed for {n}x{n} matrix at jitter {max_jitter:.3e}"
     )
@@ -108,7 +108,7 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     """Solve (A + jitter*I) X = B using the stored factor.
 
     ``b`` may be a vector of length n or an (n, m) matrix; the result has
-    the same shape.
+    the same shape.  A non-finite ``b`` or factor raises ``ValueError``.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != f.n:
@@ -117,7 +117,25 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
         )
     if f.n == 0:
         return b.copy()
-    return scipy.linalg.cho_solve((f.lower_triangular, True), b)
+    # A non-finite entry of a Cholesky factor makes the diagonal entry of
+    # its row non-finite, so the diagonal stands for the whole factor.
+    if not (np.isfinite(b).all() and np.isfinite(np.diag(f.lower_triangular)).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, _ = dpotrs(f.lower_triangular, b, lower=1)
+    return x
+
+
+def inverse_psd(f: PsdFactor) -> np.ndarray:
+    """Lower triangle of (A + jitter*I)^-1, read off the stored factor.
+
+    The strict upper triangle of the result is zero; the inverse is
+    symmetric, so sums over it are twice the strict lower triangle's plus
+    the diagonal's.
+    """
+    if f.n == 0:
+        return np.zeros((0, 0))
+    inv, _ = dpotri(f.lower_triangular, lower=1)
+    return inv
 
 
 def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Each synthetic sensor reads the true position plus a random finite Fourier
 series (smooth, position-dependent inaccuracy) plus white noise.  The true
 correction map is only available here, by numerically inverting the
-noiseless response, which is what makes the accuracy cost computable in
-simulation while it never is on hardware.
+noiseless response (safeguarded Newton inside a bracketing grid cell),
+which is what makes the accuracy cost computable in simulation while it
+never is on hardware.
 """
 
 from __future__ import annotations
@@ -179,11 +180,25 @@ def is_monotone(t: SensorTruth, rng_range: tuple = (0.0, 1.0)) -> bool:
     return True
 
 
+def _response_and_slope(t: SensorTruth, p: np.ndarray) -> tuple:
+    """Noiseless response (as :func:`sensor_eval`) and its derivative at p."""
+    phase = np.multiply.outer(p, t.freqs)
+    sin, cos = np.sin(phase), np.cos(phase)
+    value = p + (sin @ t.sin_coeffs + cos @ t.cos_coeffs)
+    slope = 1.0 + (cos @ (t.freqs * t.sin_coeffs) - sin @ (t.freqs * t.cos_coeffs))
+    return value, slope
+
+
 def invert_sensor(
     t: SensorTruth, y_obs, tol: float = 1e-10, rng_range: tuple = (0.0, 1.0)
 ):
-    """Invert the noiseless response by bisection.
+    """Invert the noiseless response by safeguarded Newton.
 
+    Each query starts from the linear interpolant inside the cell of the
+    monotonicity grid that brackets it, takes Newton steps on the
+    analytic slope, and keeps the bracket tight from the sign of the
+    residual; a step that would leave the bracket goes to its midpoint
+    instead.  Iteration stops once no query moves by ``tol * 1e-2``.
     Returns the true position(s) whose noiseless reading equals ``y_obs``
     to within ``tol``.  Accepts a scalar or an array.
     """
@@ -197,16 +212,20 @@ def invert_sensor(
     idx = np.clip(np.searchsorted(vals, y), 1, len(grid) - 1)
     lo = grid[idx - 1]
     hi = grid[idx]
-    # Bisect all queries in lockstep; the bracket starts one grid cell wide,
-    # so ~60 halvings put the width far below any useful tolerance.
+    root = lo + (y - vals[idx - 1]) * (hi - lo) / (vals[idx] - vals[idx - 1])
+    # All queries step in lockstep.  The bracket is inclusive: a converged
+    # point sits on one of its ends, and its next step must stay Newton.
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = sensor_eval(t, mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < tol * 1e-2:
+        value, slope = _response_and_slope(t, root)
+        below = value < y
+        lo = np.where(below, root, lo)
+        hi = np.where(below, hi, root)
+        newton = root - (value - y) / slope
+        nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.max(np.abs(nxt - root)) < tol * 1e-2
+        root = nxt
+        if done:
             break
-    root = 0.5 * (lo + hi)
     if np.ndim(y_obs) == 0:
         return float(root[0])
     return root

@@ -324,6 +324,31 @@ class TestPredict:
         assert "row 3: non-finite x" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
+    def test_error_after_blank_line_names_file_line(self, identity_model, tmp_path):
+        inp = tmp_path / "in.csv"
+        inp.write_text("x\n0.5\n\nnan\n")
+        result = invoke(
+            "predict", "--model", identity_model, "--input", inp,
+            "--out", tmp_path / "o.csv",
+        )
+        assert result.exit_code == 2
+        assert "row 4: non-finite x" in result.stderr
+
+    def test_infinite_hyperparameter_exits_2(self, identity_model, tmp_path):
+        doc = json.loads(identity_model.read_text())
+        doc["stage_two"]["hyperparameters"]["signal_variance"] = 1e400
+        model_path = tmp_path / "bad.json"
+        model_path.write_text(json.dumps(doc))
+        inp = tmp_path / "in.csv"
+        inp.write_text("x\n0.5\n")
+        result = invoke(
+            "predict", "--model", model_path, "--input", inp,
+            "--out", tmp_path / "o.csv",
+        )
+        assert result.exit_code == 2
+        assert "not a valid model file" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_x_column_exits_2(self, identity_model, tmp_path):
         inp = tmp_path / "in.csv"
         inp.write_text("value\n0.5\n")

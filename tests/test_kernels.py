@@ -97,6 +97,19 @@ class TestKernelMatrix:
         k = kernel_matrix(y, y, hp=HP_UNIT)
         np.testing.assert_array_equal(k, k.T)
 
+    def test_bit_identical_to_plain_expression(self, rng):
+        for _ in range(50):
+            ya = rng.normal(0.0, 2.0, rng.integers(1, 40))
+            yb = rng.normal(0.0, 2.0, rng.integers(1, 40))
+            hp = Hyperparameters(
+                float(np.exp(rng.normal(-1.0, 2.0))),
+                float(np.exp(rng.normal(0.0, 3.0))),
+                0.0,
+            )
+            diff = (ya[:, None] - yb[None, :]) / hp.length_scale
+            plain = hp.signal_variance * np.exp(-0.5 * diff * diff)
+            np.testing.assert_array_equal(kernel_matrix(ya, yb, hp), plain)
+
     def test_gram_with_noise_is_positive_definite(self):
         y = np.linspace(0, 1, 10)
         hp = Hyperparameters(0.3, 1.0, 1e-4)

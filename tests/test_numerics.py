@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascal.errors import DimensionMismatch, NotPositiveDefinite
-from cascal.numerics import factor_psd, log_det, solve_psd
+from cascal.numerics import factor_psd, inverse_psd, log_det, solve_psd
 
 from _oracles import random_spd
 
@@ -93,6 +93,20 @@ class TestSolvePsd:
         with pytest.raises(DimensionMismatch):
             solve_psd(f, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        f = factor_psd(np.array([[4.0, 2.0], [2.0, 3.0]]), max_jitter=0.0)
+        with pytest.raises(ValueError):
+            solve_psd(f, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            solve_psd(f, np.array([[bad], [0.0]]))
+
+    def test_wrong_shape_is_dimension_mismatch(self):
+        f = factor_psd(np.eye(3), max_jitter=0.0)
+        for shape in [(2,), (3, 2, 1), (4, 3), ()]:
+            with pytest.raises(DimensionMismatch):
+                solve_psd(f, np.zeros(shape))
+
     def test_vector_shape_preserved(self, rng):
         a = random_spd(rng, 6)
         f = factor_psd(a, max_jitter=0.0)
@@ -108,6 +122,39 @@ class TestSolvePsd:
         x = solve_psd(f, a @ x0)
         err = np.linalg.norm(x - x0) / np.linalg.norm(x0)
         assert err <= 1e-8
+
+
+class TestInversePsd:
+    def check(self, a, f):
+        inv = np.linalg.inv(a + f.jitter_used * np.eye(a.shape[0]))
+        got = inverse_psd(f)
+        np.testing.assert_array_equal(np.triu(got, 1), 0.0)
+        full = got + np.tril(got, -1).T
+        scale = np.max(np.abs(inv))
+        np.testing.assert_allclose(full, inv, rtol=1e-9, atol=1e-12 * scale)
+
+    def test_known_2x2(self):
+        a = np.array([[4.0, 2.0], [2.0, 3.0]])
+        f = factor_psd(a, max_jitter=0.0)
+        np.testing.assert_allclose(
+            inverse_psd(f), [[0.375, 0.0], [-0.25, 0.5]], rtol=1e-12
+        )
+        self.check(a, f)
+
+    @pytest.mark.parametrize("n", [1, 3, 20, 100])
+    def test_random_spd(self, n):
+        a = random_spd(np.random.default_rng(2000 + n), n)
+        self.check(a, factor_psd(a, max_jitter=1e-6))
+
+    def test_jittered_rank_deficient(self):
+        ones = np.ones((2, 2))
+        f = factor_psd(ones, max_jitter=1e-6)
+        assert f.jitter_used > 0.0
+        self.check(ones, f)
+
+    def test_empty(self):
+        f = factor_psd(np.zeros((0, 0)), max_jitter=0.0)
+        assert inverse_psd(f).shape == (0, 0)
 
 
 class TestLogDet:

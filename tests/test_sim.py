@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, strategies as st
 
 from cascal import sim
@@ -122,6 +123,54 @@ class TestInvertSensor:
     def test_outside_range_rejected(self):
         with pytest.raises(ValueError):
             invert_sensor(identity_sensor(), 5.0)
+
+
+def invert_brentq(t, y, rng_range=(0.0, 1.0)):
+    """Scalar Brent root of sensor_eval(t, p) = y on the padded range."""
+    lo, hi = sim._padded_range(rng_range)
+    return np.array([
+        scipy.optimize.brentq(
+            lambda p, v=v: float(sensor_eval(t, p)) - v, lo, hi,
+            xtol=1e-15, rtol=1e-15,
+        )
+        for v in np.atleast_1d(y)
+    ])
+
+
+class TestInvertSensorAgainstBrent:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_truth_pairs_at_quadrature_grid(self, seed):
+        pair, _ = sample_truth_pair(seed)
+        for t in (pair.sensor1, pair.sensor2):
+            y = np.linspace(
+                float(sensor_eval(t, 0.0)), float(sensor_eval(t, 1.0)), 2001
+            )
+            root = invert_sensor(t, y)
+            np.testing.assert_allclose(root, invert_brentq(t, y), rtol=0, atol=1e-11)
+            assert np.max(np.abs(sensor_eval(t, root) - y)) <= 1e-12
+
+    def test_grid_nodes_and_range_ends(self):
+        pair, _ = sample_truth_pair(3)
+        t = pair.sensor1
+        grid, vals = sim._monotone_grid(t, pair.range)
+        # every node of the bracketing grid, the padded ends among them
+        root = invert_sensor(t, vals)
+        np.testing.assert_allclose(root, grid, rtol=0, atol=1e-11)
+        assert np.max(np.abs(sensor_eval(t, root) - vals)) <= 1e-12
+        ends = np.array([vals[0], vals[-1]])
+        np.testing.assert_allclose(
+            invert_sensor(t, ends), invert_brentq(t, ends), rtol=0, atol=1e-11
+        )
+
+    def test_scalar_path(self):
+        pair, _ = sample_truth_pair(5)
+        t = pair.sensor1
+        for p in (0.0, 0.37, 1.0):
+            y = float(sensor_eval(t, p))
+            root = invert_sensor(t, y)
+            assert isinstance(root, float)
+            assert root == pytest.approx(invert_brentq(t, y)[0], abs=1e-11)
+            assert root == invert_sensor(t, np.array([y]))[0]
 
 
 class TestSampleTruthPair:
