@@ -1,0 +1,170 @@
+"""Golden files pin the on-disk JSON of every artefact byte for byte.
+
+The bayes, alt1 and LUT model files, the truth file and ``summary.json``
+are built from hand-written hyperparameters, tables, truths and costs: no
+optimizer output and no BLAS-dependent floats, so the bytes are the same
+on any machine.  Each test writes its artefact with the package's own
+writer and compares it with ``tests/golden/``, then loads the golden file
+and checks that it writes back unchanged.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from cascal import cascade, gp, montecarlo, sim
+from cascal.cascade import CascadeConfig, CascadeModel
+from cascal.cli import main
+from cascal.gp import OptimizerConfig, TrainingSet
+from cascal.kernels import Hyperparameters, PriorMean
+from cascal.lut import LutCascade
+from cascal.montecarlo import TrialResult
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> bytes:
+    return (GOLDEN / name).read_bytes()
+
+
+def posterior(inputs, targets, cov, hp, mean):
+    ts = TrainingSet(np.array(inputs), np.array(targets), np.array(cov))
+    return gp.fit(ts, hp, mean)
+
+
+STAGE_ONE = posterior(
+    [0.0, 0.25, 0.5, 0.75, 1.0],
+    [0.01, 0.26, 0.49, 0.76, 1.02],
+    np.zeros((5, 5)),
+    Hyperparameters(0.3, 0.01, 1e-8),
+    PriorMean.identity(),
+)
+
+MODELS = {
+    "model_bayes.json": CascadeModel(
+        stage_one=STAGE_ONE,
+        stage_two=posterior(
+            [0.1, 0.4, 0.6, 0.9],
+            [0.11, 0.38, 0.61, 0.93],
+            [
+                [2e-6, 1e-6, 0.0, 0.0],
+                [1e-6, 2e-6, 1e-6, 0.0],
+                [0.0, 1e-6, 2e-6, 1e-6],
+                [0.0, 0.0, 1e-6, 2e-6],
+            ],
+            Hyperparameters(0.25, 0.02, 1e-7),
+            PriorMean.affine(1.01, -0.002),
+        ),
+        method_tag=cascade.METHOD_BAYES,
+        config=CascadeConfig(),
+    ),
+    "model_alt1.json": CascadeModel(
+        stage_one=STAGE_ONE,
+        stage_two=posterior(
+            [0.1, 0.4, 0.6, 0.9],
+            [0.11, 0.38, 0.61, 0.93],
+            1e-8 * np.eye(4),
+            Hyperparameters(0.5, 0.125, 0.0),
+            PriorMean.zero(),
+        ),
+        method_tag=cascade.METHOD_ALT1,
+        config=CascadeConfig(
+            optimizer=OptimizerConfig(
+                start_offsets=(-1.0, 0.0, 1.0), max_iters=50, rel_tol=1e-6,
+                log_lower=-15.0, log_upper=3.0,
+            ),
+            stage2_learned_noise=False,
+            prior_mean=PriorMean.zero(),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_cascade_model_bytes(name, tmp_path):
+    path = tmp_path / name
+    cascade.save_model(MODELS[name], path)
+    assert path.read_bytes() == golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_cascade_model_golden_loads(name, tmp_path):
+    model = cascade.load_model(GOLDEN / name)
+    assert model.method_tag == MODELS[name].method_tag
+    assert model.config == MODELS[name].config
+    assert model.stage_two.hp == MODELS[name].stage_two.hp
+    path = tmp_path / name
+    cascade.save_model(model, path)
+    assert path.read_bytes() == golden(name)
+
+
+# The LUT model goes through `cascal calibrate`, so the CLI's writer is
+# pinned too.  d1's test-bed readings sit on d2's breakpoints, so every
+# interpolated value is a table value, exactly.
+LUT_D2 = "x,y\n0.0,0.0\n0.5,0.5\n0.25,0.25\n1.0,1.0\n0.5,0.75\n"
+LUT_D1 = "x,y\n0.1,0.0\n0.3,0.25\n0.7,0.5\n0.9,1.0\n"
+
+
+def test_lut_model_bytes(tmp_path):
+    (tmp_path / "d1.csv").write_text(LUT_D1)
+    (tmp_path / "d2.csv").write_text(LUT_D2)
+    (tmp_path / "cfg.json").write_text(json.dumps({"lut_extrapolation": "clamp"}))
+    path = tmp_path / "model_lut.json"
+    result = CliRunner().invoke(main, [
+        "calibrate", "--method", "lut", "--d1", str(tmp_path / "d1.csv"),
+        "--d2", str(tmp_path / "d2.csv"), "--model", str(path),
+        "--config", str(tmp_path / "cfg.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == golden("model_lut.json")
+
+
+def test_lut_model_golden_loads():
+    doc = json.loads(golden("model_lut.json"))
+    model = LutCascade.from_dict(doc)
+    assert model.extrapolation == "clamp"
+    np.testing.assert_array_equal(model.stage_two.values, [0.0, 0.25, 0.625, 1.0])
+    assert model.to_dict() == doc
+
+
+TRUTH = sim.TruthPair(
+    sim.SensorTruth([0.01, -0.02], [0.005, 0.0], [3.0, -1.5], 1e-8),
+    sim.SensorTruth([0.0], [-0.0125], [2.5], 0.0),
+    range=(-0.5, 2.0),
+)
+
+
+def test_truth_bytes(tmp_path):
+    path = tmp_path / "truth.json"
+    sim.save_truth_pair(TRUTH, path)
+    assert path.read_bytes() == golden("truth.json")
+
+
+def test_truth_golden_loads(tmp_path):
+    pair = sim.load_truth_pair(GOLDEN / "truth.json")
+    assert pair.range == TRUTH.range
+    np.testing.assert_array_equal(pair.sensor1.freqs, TRUTH.sensor1.freqs)
+    path = tmp_path / "truth.json"
+    sim.save_truth_pair(pair, path)
+    assert path.read_bytes() == golden("truth.json")
+
+
+# Dyadic costs: every sum is exact, so only elementwise arithmetic rounds.
+COSTS = [
+    (0, 0.125, 0.25, 0.5, None),
+    (1, 0.25, 0.375, 0.75, None),
+    (2, 0.5, 0.25, 1.0, None),
+    (3, 0.0625, 0.125, 0.5, None),
+    (4, 0.375, 0.5, 0.25, None),
+    (5, float("nan"), float("nan"), float("nan"), "NonMonotonic: redraw"),
+]
+
+
+def test_summary_bytes(tmp_path):
+    results = [TrialResult(s, a, b, c, flag=f) for s, a, b, c, f in COSTS]
+    path = tmp_path / "summary.json"
+    montecarlo.write_summary_json(montecarlo.summarize(results, n_bins=4), path)
+    assert path.read_bytes() == golden("summary.json")
