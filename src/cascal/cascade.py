@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
+from ._record import Record, write_json
 from .errors import DatasetFormatError
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
@@ -53,7 +54,7 @@ class CalibrationDataset:
 
 
 @dataclass(frozen=True)
-class CascadeConfig:
+class CascadeConfig(Record):
     """Settings shared by both calibration stages.
 
     ``stage2_learned_noise`` adds a learned diagonal noise term on top of
@@ -65,21 +66,6 @@ class CascadeConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
     stage2_learned_noise: bool = True
     prior_mean: PriorMean = PriorMean.identity()
-
-    def to_dict(self) -> dict:
-        return {
-            "optimizer": self.optimizer.to_dict(),
-            "stage2_learned_noise": bool(self.stage2_learned_noise),
-            "prior_mean": self.prior_mean.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CascadeConfig":
-        return cls(
-            optimizer=OptimizerConfig.from_dict(d["optimizer"]),
-            stage2_learned_noise=bool(d["stage2_learned_noise"]),
-            prior_mean=PriorMean.from_dict(d["prior_mean"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -245,9 +231,7 @@ def model_from_dict(d: dict) -> CascadeModel:
 
 
 def save_model(model: CascadeModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> CascadeModel:

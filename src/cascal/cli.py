@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
+from ._record import write_json
 from .cascade import CascadeConfig, CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError
 from .gp import OptimizerConfig
@@ -29,30 +30,28 @@ from .montecarlo import TrialConfig
 class RunConfig:
     """Tunable values with their defaults.
 
-    Simulation defaults match the benchmark setup: 10 Fourier terms with
-    coefficient variance 1e-4 and frequency variance 6, reading noise
-    variance 1e-8, a 100-point reference grid with 8 points removed per
-    edge and 20 in the center (leaving 64 pairs), and 100 device-grid
-    points.
+    Simulation, optimizer and lookup-table defaults are those of
+    TrialConfig and OptimizerConfig; the rest (campaign size, seed,
+    parallelism, histogram bins) exist only here.
     """
 
-    n_terms: int = 10
-    coeff_var: float = 1e-4
-    freq_var: float = 6.0
-    noise_var: float = 1e-8
-    n_grid: int = 100
-    edge_remove: int = 8
-    center_remove: int = 20
-    n1: int = 100
-    n_quad: int = 2001
+    n_terms: int = TrialConfig.n_terms
+    coeff_var: float = TrialConfig.coeff_var
+    freq_var: float = TrialConfig.freq_var
+    noise_var: float = TrialConfig.noise_var
+    n_grid: int = TrialConfig.n_grid
+    edge_remove: int = TrialConfig.edge_remove
+    center_remove: int = TrialConfig.center_remove
+    n1: int = TrialConfig.n1
+    n_quad: int = TrialConfig.n_quad
     n_bins: int = 60
     trials: int = 200
     seed: int = 0
     parallel: int = 1
-    strict_paper: bool = False
-    opt_max_iters: int = 400
-    opt_rel_tol: float = 1e-9
-    lut_extrapolation: str = "slope"
+    strict_paper: bool = not CascadeConfig.stage2_learned_noise
+    opt_max_iters: int = OptimizerConfig.max_iters
+    opt_rel_tol: float = OptimizerConfig.rel_tol
+    lut_extrapolation: str = TrialConfig.lut_extrapolation
 
     def cascade_config(self) -> CascadeConfig:
         return CascadeConfig(
@@ -63,19 +62,12 @@ class RunConfig:
         )
 
     def trial_config(self) -> TrialConfig:
-        return TrialConfig(
-            n_terms=self.n_terms,
-            coeff_var=self.coeff_var,
-            freq_var=self.freq_var,
-            noise_var=self.noise_var,
-            n_grid=self.n_grid,
-            edge_remove=self.edge_remove,
-            center_remove=self.center_remove,
-            n1=self.n1,
-            n_quad=self.n_quad,
-            cascade=self.cascade_config(),
-            lut_extrapolation=self.lut_extrapolation,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(TrialConfig)
+            if f.name != "cascade"
+        }
+        return TrialConfig(cascade=self.cascade_config(), **shared)
 
 
 class _RuntimeFail(click.ClickException):
@@ -86,7 +78,7 @@ class _ConfigFail(click.ClickException):
     exit_code = 2
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def build_config(config_path: str | None, **overrides) -> RunConfig:
@@ -100,7 +92,7 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
             raise _ConfigFail(f"cannot read config {config_path}: {exc}")
         if not isinstance(data, dict):
             raise _ConfigFail(f"{config_path}: config must be a JSON object")
-        unknown = set(data) - set(_FIELD_TYPES)
+        unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise _ConfigFail(
                 f"{config_path}: unknown config keys: {', '.join(sorted(unknown))}"
@@ -108,13 +100,15 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
         coerced = {}
         for key, value in data.items():
             want = type(getattr(cfg, key))
-            if (want is bool) != isinstance(value, bool):
-                raise _ConfigFail(
-                    f"{config_path}: {key} must be of type {want.__name__}"
-                )
             try:
+                if (want is bool) != isinstance(value, bool):
+                    raise TypeError
+                # An int key takes an integral, finite number: 2.7 is not 2
+                # trials, and 1e400 (inf) is not an OverflowError.
+                if want is int and isinstance(value, float) and not value.is_integer():
+                    raise ValueError
                 coerced[key] = want(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise _ConfigFail(
                     f"{config_path}: {key} must be of type {want.__name__}"
                 )
@@ -167,44 +161,47 @@ def _with(options):
     return wrap
 
 
+def _value_option(name: str, text: str, flag: str | None = None):
+    """A flag overriding RunConfig.<name>; its help shows the default."""
+    default = getattr(RunConfig, name)
+    return click.option(
+        flag or "--" + name.replace("_", "-"), name, type=type(default),
+        default=None, help=f"{text} [default: {default:g}]",
+    )
+
+
+_n_bins = _value_option("n_bins", "Histogram bins.", flag="--bins")
+_n_quad = _value_option("n_quad", "Quadrature points for the cost integral.")
+
+_simulate_values = [
+    _value_option("trials", "Number of trials."),
+    _value_option("seed", "Base seed; trial k uses seed+k."),
+    _value_option("parallel", "Max worker processes."),
+    _n_bins,
+    _value_option("n_grid", "Reference grid size."),
+    _value_option("edge_remove", "Points removed from each grid edge."),
+    _value_option("center_remove", "Consecutive points removed from the grid center."),
+    _value_option("n1", "Device grid size."),
+    _value_option("n_terms", "Fourier terms per sensor."),
+    _value_option("coeff_var", "Variance of the Fourier coefficients."),
+    _value_option("freq_var", "Variance of the Fourier frequencies."),
+    _value_option("noise_var", "Sensor reading noise variance."),
+    _n_quad,
+]
+
+
 @main.command()
-@click.option("--trials", type=int, default=None, help="Number of trials [default: 200].")
-@click.option("--seed", type=int, default=None, help="Base seed; trial k uses seed+k [default: 0].")
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Output directory for trials.csv and summary.json.")
-@click.option("--parallel", type=int, default=None, help="Max worker processes [default: 1].")
-@click.option("--bins", "n_bins", type=int, default=None, help="Histogram bins [default: 60].")
 @click.option("--full-scale", is_flag=True, default=False,
               help="Run the full 12000-trial campaign (overrides --trials).")
 @click.option("--dump-truth", is_flag=True, default=False,
               help="Also write truth_<seed>.json for every trial.")
-@click.option("--n-grid", type=int, default=None, help="Reference grid size [default: 100].")
-@click.option("--edge-remove", type=int, default=None,
-              help="Points removed from each grid edge [default: 8].")
-@click.option("--center-remove", type=int, default=None,
-              help="Consecutive points removed from the grid center [default: 20].")
-@click.option("--n1", type=int, default=None, help="Device grid size [default: 100].")
-@click.option("--n-terms", type=int, default=None, help="Fourier terms per sensor [default: 10].")
-@click.option("--coeff-var", type=float, default=None,
-              help="Variance of the Fourier coefficients [default: 1e-4].")
-@click.option("--freq-var", type=float, default=None,
-              help="Variance of the Fourier frequencies [default: 6].")
-@click.option("--noise-var", type=float, default=None,
-              help="Sensor reading noise variance [default: 1e-8].")
-@click.option("--n-quad", type=int, default=None,
-              help="Quadrature points for the cost integral [default: 2001].")
-@_with(_common)
-def simulate(trials, seed, out_dir, parallel, n_bins, full_scale, dump_truth,
-             n_grid, edge_remove, center_remove, n1, n_terms, coeff_var,
-             freq_var, noise_var, n_quad, config_path, strict_paper) -> None:
+@_with(_simulate_values + _common)
+def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
+             **values) -> None:
     """Run a benchmark campaign and write trials.csv plus summary.json."""
-    cfg = build_config(
-        config_path,
-        trials=trials, seed=seed, parallel=parallel, n_bins=n_bins,
-        n_grid=n_grid, edge_remove=edge_remove, center_remove=center_remove,
-        n1=n1, n_terms=n_terms, coeff_var=coeff_var, freq_var=freq_var,
-        noise_var=noise_var, n_quad=n_quad, strict_paper=strict_paper,
-    )
+    cfg = build_config(config_path, strict_paper=strict_paper, **values)
     if full_scale:
         cfg = replace(cfg, trials=12000)
     out = _ensure_dir(out_dir)
@@ -281,9 +278,7 @@ def calibrate(d1_path, d2_path, method, model_path, config_path, strict_paper) -
             doc = cascade.model_to_dict(fitted)
     except (CascalError, ValueError) as exc:
         raise _RuntimeFail(str(exc))
-    with open(model_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_path, doc)
     click.echo(f"wrote {model_path}")
 
 
@@ -342,8 +337,7 @@ def _read_x_column(path: str) -> np.ndarray:
               help="Truth pair JSON to evaluate against.")
 @click.option("--errors-csv", "errors_path", type=click.Path(), default=None,
               help="Optional per-point error CSV.")
-@click.option("--n-quad", type=int, default=None,
-              help="Quadrature points [default: 2001].")
+@_n_quad
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat JSON config file; flags override it.")
 def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
@@ -378,8 +372,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
               help="Existing trials.csv to re-summarize.")
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="Where to write summary.json.")
-@click.option("--bins", "n_bins", type=int, default=None,
-              help="Histogram bins [default: 60].")
+@_n_bins
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Flat JSON config file; flags override it.")
 def summarize(trials_path, out_path, n_bins, config_path) -> None:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
+from ._record import Record
 from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 from .numerics import (
@@ -244,7 +245,7 @@ def log_marginal_likelihood(
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Record):
     """Settings for the multi-start L-BFGS-B search over log-parameters.
 
     ``max_iters`` caps the iterations of each start (L-BFGS-B's
@@ -259,25 +260,6 @@ class OptimizerConfig:
     rel_tol: float = 1e-9
     log_lower: float = -20.0
     log_upper: float = 5.0
-
-    def to_dict(self) -> dict:
-        return {
-            "start_offsets": [float(o) for o in self.start_offsets],
-            "max_iters": int(self.max_iters),
-            "rel_tol": float(self.rel_tol),
-            "log_lower": float(self.log_lower),
-            "log_upper": float(self.log_upper),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerConfig":
-        return cls(
-            start_offsets=tuple(float(o) for o in d["start_offsets"]),
-            max_iters=int(d["max_iters"]),
-            rel_tol=float(d["rel_tol"]),
-            log_lower=float(d["log_lower"]),
-            log_upper=float(d["log_upper"]),
-        )
 
 
 def default_hp0(ts: TrainingSet, mean: PriorMean) -> Hyperparameters:
@@ -414,9 +396,9 @@ def posterior_to_dict(p: GPPosterior) -> dict:
     return {
         "hyperparameters": p.hp.to_dict(),
         "prior_mean": p.mean.to_dict(),
-        "train_inputs": [float(v) for v in p.train.inputs],
-        "train_targets": [float(v) for v in p.train.targets],
-        "target_cov": [[float(v) for v in row] for row in p.train.target_cov],
+        "train_inputs": p.train.inputs.tolist(),
+        "train_targets": p.train.targets.tolist(),
+        "target_cov": p.train.target_cov.tolist(),
     }
 
 

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
+
 
 @dataclass(frozen=True)
-class Hyperparameters:
+class Hyperparameters(Record):
     """Kernel hyperparameters for one regression stage.
 
     Attributes
@@ -42,24 +44,9 @@ class Hyperparameters:
                 f"noise_variance must be >= 0, got {self.noise_variance}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "length_scale": float(self.length_scale),
-            "signal_variance": float(self.signal_variance),
-            "noise_variance": float(self.noise_variance),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparameters":
-        return cls(
-            length_scale=float(d["length_scale"]),
-            signal_variance=float(d["signal_variance"]),
-            noise_variance=float(d["noise_variance"]),
-        )
-
 
 @dataclass(frozen=True)
-class PriorMean:
+class PriorMean(Record):
     """Prior mean function: identity, zero, or affine.
 
     The identity is the natural default for sensor cross-calibration: with
@@ -87,24 +74,18 @@ class PriorMean:
         return cls("affine", slope=float(slope), intercept=float(intercept))
 
     def to_dict(self) -> dict:
+        """Slope and intercept are written for the affine variant only."""
         if self.variant == "affine":
-            return {
-                "variant": "affine",
-                "slope": float(self.slope),
-                "intercept": float(self.intercept),
-            }
+            return super().to_dict()
         return {"variant": self.variant}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PriorMean":
-        variant = d["variant"]
-        if variant == "affine":
-            return cls.affine(d["slope"], d["intercept"])
-        if variant == "identity":
-            return cls.identity()
-        if variant == "zero":
+        if d["variant"] == "affine":
+            return super().from_dict(d)
+        if d["variant"] == "zero":
             return cls.zero()
-        raise ValueError(f"unknown prior mean variant {variant!r}")
+        return cls(d["variant"])  # identity; __post_init__ rejects the rest
 
 
 def se_kernel(y_a: float, y_b: float, hp: Hyperparameters) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .cascade import CalibrationDataset
 from .errors import DegenerateTable
 
@@ -21,7 +22,7 @@ EXTRAPOLATION_MODES = ("slope", "clamp")
 
 
 @dataclass(frozen=True)
-class LookupTable:
+class LookupTable(Record):
     """Strictly increasing breakpoints and their mapped values (meters)."""
 
     breakpoints: np.ndarray
@@ -81,7 +82,7 @@ def lut_eval(t: LookupTable, y, extrapolation: str = "slope"):
 
 
 @dataclass(frozen=True)
-class LutCascade:
+class LutCascade(Record):
     """Two chained lookup tables forming a calibration map."""
 
     stage_one: LookupTable
@@ -89,41 +90,28 @@ class LutCascade:
     extrapolation: str = "slope"
     method_tag: str = METHOD_LUT
 
+    def __post_init__(self) -> None:
+        if self.extrapolation not in EXTRAPOLATION_MODES:
+            raise ValueError(
+                f"extrapolation must be one of {EXTRAPOLATION_MODES}, "
+                f"got {self.extrapolation!r}"
+            )
+
     def apply(self, y1: np.ndarray) -> np.ndarray:
         y1 = np.asarray(y1, dtype=float).ravel()
         return np.asarray(lut_eval(self.stage_two, y1, self.extrapolation))
 
     def to_dict(self) -> dict:
-        return {
-            "method_tag": self.method_tag,
-            "stage_one": _table_to_dict(self.stage_one),
-            "stage_two": _table_to_dict(self.stage_two),
-            "config": {"extrapolation": self.extrapolation},
-        }
+        """Fields by name, with ``extrapolation`` nested under ``config``."""
+        d = super().to_dict()
+        d["config"] = {"extrapolation": d.pop("extrapolation")}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "LutCascade":
         if d["method_tag"] != METHOD_LUT:
             raise ValueError(f"not a LUT model: method_tag={d['method_tag']!r}")
-        return cls(
-            stage_one=_table_from_dict(d["stage_one"]),
-            stage_two=_table_from_dict(d["stage_two"]),
-            extrapolation=d["config"]["extrapolation"],
-        )
-
-
-def _table_to_dict(t: LookupTable) -> dict:
-    return {
-        "breakpoints": [float(v) for v in t.breakpoints],
-        "values": [float(v) for v in t.values],
-    }
-
-
-def _table_from_dict(d: dict) -> LookupTable:
-    return LookupTable(
-        breakpoints=np.asarray(d["breakpoints"], dtype=float),
-        values=np.asarray(d["values"], dtype=float),
-    )
+        return super().from_dict({**d, "extrapolation": d["config"]["extrapolation"]})
 
 
 def calibrate_lut_cascade(

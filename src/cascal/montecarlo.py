@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cascade, lut, sim
+from ._record import Record, write_json
 from .cascade import CascadeConfig
 from .errors import CascalError, ConfigError, EmptyCampaign
 from .kernels import Hyperparameters
@@ -170,52 +170,30 @@ def run_campaign(
     seeds = range(base_seed, base_seed + n_trials)
     if max_parallel <= 1:
         return [run_trial(s, cfg) for s in seeds]
-    with ProcessPoolExecutor(max_workers=max_parallel) as pool:
+    with ProcessPoolExecutor(max_workers=min(max_parallel, n_trials)) as pool:
         return list(pool.map(run_trial, seeds, [cfg] * n_trials))
 
 
 @dataclass(frozen=True)
-class MethodSummary:
+class MethodSummary(Record):
     median: float
     mean: float
     q05: float
     q25: float
     q75: float
     q95: float
-    win_rate: dict
+    win_rate: dict[str, float]
     density: np.ndarray
     cdf_values: np.ndarray
     cdf_fractions: np.ndarray
 
 
 @dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(Record):
     n_trials: int
     n_flagged: int
     bin_edges: np.ndarray
-    methods: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trials": int(self.n_trials),
-            "n_flagged": int(self.n_flagged),
-            "bin_edges": [float(v) for v in self.bin_edges],
-            "methods": {
-                name: {
-                    "median": float(m.median),
-                    "mean": float(m.mean),
-                    "q05": float(m.q05),
-                    "q25": float(m.q25),
-                    "q75": float(m.q75),
-                    "q95": float(m.q95),
-                    "win_rate": {k: float(v) for k, v in m.win_rate.items()},
-                    "density": [float(v) for v in m.density],
-                    "cdf_values": [float(v) for v in m.cdf_values],
-                    "cdf_fractions": [float(v) for v in m.cdf_fractions],
-                }
-                for name, m in self.methods.items()
-            },
-        }
+    methods: dict[str, MethodSummary]
 
 
 def summarize(results: list, n_bins: int = 60) -> CampaignSummary:
@@ -318,6 +296,4 @@ def read_trials_csv(path) -> list:
 
 
 def write_summary_json(summary: CampaignSummary, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, summary.to_dict())

@@ -10,11 +10,13 @@ never is on hardware.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, write_json
 from .cascade import CalibrationDataset
 from .errors import ConfigError, NonMonotonic
 
@@ -35,7 +37,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class SensorTruth:
+class SensorTruth(Record):
     """Ground-truth inaccuracy model of one sensor.
 
     reading(p) = p + sum_k sin_coeffs[k]*sin(freqs[k]*p)
@@ -59,26 +61,9 @@ class SensorTruth:
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "sin_coeffs": [float(v) for v in self.sin_coeffs],
-            "cos_coeffs": [float(v) for v in self.cos_coeffs],
-            "freqs": [float(v) for v in self.freqs],
-            "noise_variance": float(self.noise_variance),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorTruth":
-        return cls(
-            sin_coeffs=np.asarray(d["sin_coeffs"], dtype=float),
-            cos_coeffs=np.asarray(d["cos_coeffs"], dtype=float),
-            freqs=np.asarray(d["freqs"], dtype=float),
-            noise_variance=float(d["noise_variance"]),
-        )
-
 
 @dataclass(frozen=True)
-class TruthPair:
+class TruthPair(Record):
     """Ground truth for one simulated calibration problem.
 
     ``sensor1`` is the device under calibration, ``sensor2`` the test bed;
@@ -90,25 +75,12 @@ class TruthPair:
     range: tuple = (0.0, 1.0)
 
     def __post_init__(self) -> None:
+        if len(self.range) != 2:
+            raise ValueError(f"range must have two ends, got {self.range}")
         lo, hi = float(self.range[0]), float(self.range[1])
         object.__setattr__(self, "range", (lo, hi))
         if not lo < hi:
             raise ValueError(f"range must be well-ordered, got {self.range}")
-
-    def to_dict(self) -> dict:
-        return {
-            "sensor1": self.sensor1.to_dict(),
-            "sensor2": self.sensor2.to_dict(),
-            "range": [self.range[0], self.range[1]],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TruthPair":
-        return cls(
-            sensor1=SensorTruth.from_dict(d["sensor1"]),
-            sensor2=SensorTruth.from_dict(d["sensor2"]),
-            range=(float(d["range"][0]), float(d["range"][1])),
-        )
 
 
 def sample_truth(
@@ -347,15 +319,9 @@ def cost_j(model_apply, pair: TruthPair, n_quad: int = 2001) -> float:
 
 
 def save_truth_pair(pair: TruthPair, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(pair.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, pair.to_dict())
 
 
 def load_truth_pair(path) -> TruthPair:
-    import json
-
     with open(path) as fh:
         return TruthPair.from_dict(json.load(fh))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from cascal import cascade, lut, sim
-from cascal.cli import main
+from cascal.cli import RunConfig, main
+from cascal.montecarlo import TrialConfig
 
 runner = CliRunner()
 
@@ -33,6 +35,15 @@ def write_identity_csv(path, n=12, noise=1e-4, seed=0):
         fh.write("x,y\n")
         for a, b in zip(x, y):
             fh.write(f"{float(a)!r},{float(b)!r}\n")
+
+
+def bogus_extrapolation_model(path):
+    """An identity LUT model file whose extrapolation mode does not exist."""
+    t = lut.LookupTable(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    doc = lut.LutCascade(stage_one=t, stage_two=t).to_dict()
+    doc["config"]["extrapolation"] = "bogus"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +197,49 @@ class TestConfigFile:
         )
         assert result.exit_code == 2
         assert "trials" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["1e400", "Infinity", "2.7"])
+    def test_int_key_needs_integral_finite_number(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG)[:-1] + f', "trials": {raw}}}')
+        result = invoke("simulate", "--out", tmp_path / "o", "--config", cfg)
+        assert result.exit_code == 2
+        assert "trials" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o" / "trials.csv").exists()
+
+    def test_integral_float_is_an_int(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "trials": 1.0}))
+        result = invoke("simulate", "--out", tmp_path / "o", "--config", cfg)
+        assert result.exit_code == 0, result.output
+        assert len(list(csv.reader(open(tmp_path / "o" / "trials.csv")))) == 2
+
+
+class TestRunConfigDefaults:
+    def test_keys_and_defaults_pinned(self):
+        assert dataclasses.asdict(RunConfig()) == {
+            "n_terms": 10,
+            "coeff_var": 1e-4,
+            "freq_var": 6.0,
+            "noise_var": 1e-8,
+            "n_grid": 100,
+            "edge_remove": 8,
+            "center_remove": 20,
+            "n1": 100,
+            "n_quad": 2001,
+            "n_bins": 60,
+            "trials": 200,
+            "seed": 0,
+            "parallel": 1,
+            "strict_paper": False,
+            "opt_max_iters": 400,
+            "opt_rel_tol": 1e-9,
+            "lut_extrapolation": "slope",
+        }
+
+    def test_defaults_build_default_trial_config(self):
+        assert RunConfig().trial_config() == TrialConfig()
 
 
 class TestCalibrate:
@@ -349,6 +403,18 @@ class TestPredict:
         assert "not a valid model file" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
+    def test_unknown_lut_extrapolation_exits_2(self, tmp_path):
+        model_path = bogus_extrapolation_model(tmp_path / "bad.json")
+        inp = tmp_path / "in.csv"
+        inp.write_text("x\n0.5\n")
+        result = invoke(
+            "predict", "--model", model_path, "--input", inp,
+            "--out", tmp_path / "o.csv",
+        )
+        assert result.exit_code == 2
+        assert "not a valid model file" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
     def test_missing_x_column_exits_2(self, identity_model, tmp_path):
         inp = tmp_path / "in.csv"
         inp.write_text("value\n0.5\n")
@@ -419,6 +485,25 @@ class TestEvaluate:
         rows = list(csv.DictReader(open(errs)))
         assert len(rows) == 11
         assert float(rows[0]["error"]) == pytest.approx(0.01, abs=1e-9)
+
+    def test_unknown_lut_extrapolation_exits_2(self, identity_truth, tmp_path):
+        model_path = bogus_extrapolation_model(tmp_path / "bad.json")
+        result = invoke("evaluate", "--model", model_path, "--truth", identity_truth)
+        assert result.exit_code == 2
+        assert "not a valid model file" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("ends", [[0.0], [0.0, 0.5, 1.0]])
+    def test_truth_range_needs_two_ends(self, identity_truth, tmp_path, ends):
+        doc = json.loads(identity_truth.read_text())
+        doc["range"] = ends
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(doc))
+        model = self.lut_model_file(tmp_path / "m.json")
+        result = invoke("evaluate", "--model", model, "--truth", truth_path)
+        assert result.exit_code == 2
+        assert "cannot read truth" in result.stderr
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestSummarizeCommand:

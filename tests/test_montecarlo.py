@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from cascal import sim
+from cascal import montecarlo, sim
 from cascal.errors import ConfigError, EmptyCampaign
 from cascal.montecarlo import (
     METHODS,
@@ -95,6 +97,56 @@ class TestRunCampaign:
     def test_rejects_empty_campaign_request(self):
         with pytest.raises(ConfigError):
             run_campaign(0, 0, SMALL)
+
+    @pytest.mark.parametrize("n_trials, parallel, workers", [(3, 64, 3), (5, 2, 2)])
+    def test_workers_capped_at_trial_count(self, monkeypatch, n_trials, parallel,
+                                          workers):
+        # A stand-in pool that records its size and maps serially, so no
+        # process is started.
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(
+            montecarlo, "run_trial",
+            lambda seed, cfg: TrialResult(seed, 0.0, 0.0, 0.0),
+        )
+        results = run_campaign(n_trials, 10, SMALL, max_parallel=parallel)
+        assert created == [workers]
+        assert [r.seed for r in results] == list(range(10, 10 + n_trials))
+
+
+class TestTrialConfigDefaults:
+    """TrialConfig's defaults are the sim functions' keyword defaults."""
+
+    @staticmethod
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def test_matches_sim_signatures(self):
+        cfg = TrialConfig()
+        truth = sim.sample_truth_pair
+        assert cfg.n_terms == self.default(truth, "n_terms")
+        assert cfg.coeff_var == self.default(truth, "coeff_var")
+        assert cfg.freq_var == self.default(truth, "freq_var")
+        assert cfg.noise_var == self.default(truth, "noise_variance")
+        assert cfg.n1 == self.default(sim.generate_d1, "n1")
+        assert cfg.n_grid == self.default(sim.generate_d2, "n_grid")
+        assert cfg.edge_remove == self.default(sim.generate_d2, "edge_remove")
+        assert cfg.center_remove == self.default(sim.generate_d2, "center_remove")
+        assert cfg.n_quad == self.default(sim.cost_j, "n_quad")
 
 
 class TestSummarize:
