@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import click
 import numpy as np
@@ -44,7 +45,7 @@ class RunConfig:
     center_remove: int = TrialConfig.center_remove
     n1: int = TrialConfig.n1
     n_quad: int = TrialConfig.n_quad
-    n_bins: int = 60
+    n_bins: int = montecarlo.N_BINS
     trials: int = 200
     seed: int = 0
     parallel: int = 1
@@ -70,14 +71,6 @@ class RunConfig:
         return TrialConfig(cascade=self.cascade_config(), **shared)
 
 
-class _RuntimeFail(click.ClickException):
-    exit_code = 1
-
-
-class _ConfigFail(click.ClickException):
-    exit_code = 2
-
-
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
@@ -85,16 +78,16 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
     """Layer defaults, config file, and CLI overrides (None = not given)."""
     cfg = RunConfig()
     if config_path:
-        try:
-            with open(config_path) as fh:
+        with open(config_path) as fh:
+            try:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _ConfigFail(f"cannot read config {config_path}: {exc}")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"cannot read config {config_path}: {exc}")
         if not isinstance(data, dict):
-            raise _ConfigFail(f"{config_path}: config must be a JSON object")
+            raise ConfigError(f"{config_path}: config must be a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
-            raise _ConfigFail(
+            raise ConfigError(
                 f"{config_path}: unknown config keys: {', '.join(sorted(unknown))}"
             )
         coerced = {}
@@ -109,7 +102,7 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
                     raise ValueError
                 coerced[key] = want(value)
             except (TypeError, ValueError, OverflowError):
-                raise _ConfigFail(
+                raise ConfigError(
                     f"{config_path}: {key} must be of type {want.__name__}"
                 )
         cfg = replace(cfg, **coerced)
@@ -117,7 +110,7 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
     if given:
         cfg = replace(cfg, **given)
     if cfg.lut_extrapolation not in lut.EXTRAPOLATION_MODES:
-        raise _ConfigFail(
+        raise ConfigError(
             f"lut_extrapolation must be one of {lut.EXTRAPOLATION_MODES}"
         )
     return cfg
@@ -127,18 +120,44 @@ def _load_any_model(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _ConfigFail(f"cannot read model {path}: {exc}")
-    try:
-        tag = doc["method_tag"]
-        if tag == lut.METHOD_LUT:
+        if doc["method_tag"] == lut.METHOD_LUT:
             return LutCascade.from_dict(doc)
         return cascade.model_from_dict(doc)
-    except (KeyError, ValueError, TypeError, CascalError) as exc:
-        raise _ConfigFail(f"{path}: not a valid model file: {exc}")
+    except (KeyError, ValueError, TypeError, OverflowError, CascalError) as exc:
+        raise DatasetFormatError(f"{path}: not a valid model file: {exc}")
 
 
-@click.group()
+def _exit(code: int, error: Exception) -> click.ClickException:
+    fail = click.ClickException(str(error))
+    fail.exit_code = code
+    return fail
+
+
+class _Cascal(click.Group):
+    """The one place where an error from a command becomes its exit code.
+
+    Exit 2: input that cannot be used as given, that is a config, dataset,
+    readings, model, truth or trials file that does not parse
+    (ConfigError, DatasetFormatError, or bytes that do not decode), or
+    a path that cannot be read or written (an OSError naming a file).
+    Exit 1: any other toolkit error or ValueError, such as an all-flagged
+    campaign or a non-invertible truth.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, DatasetFormatError, UnicodeDecodeError) as error:
+            raise _exit(2, error)
+        except OSError as error:
+            if error.filename is None:
+                raise
+            raise _exit(2, error)
+        except (CascalError, ValueError) as error:
+            raise _exit(1, error)
+
+
+@click.group(cls=_Cascal)
 @click.version_option(package_name="cascal")
 def main() -> None:
     """Cascaded sensor calibration and its simulation benchmark."""
@@ -190,11 +209,16 @@ _simulate_values = [
 ]
 
 
+#: Campaign size of ``simulate --full-scale``.
+FULL_SCALE_TRIALS = 12000
+
+
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(), required=True,
               help="Output directory for trials.csv and summary.json.")
 @click.option("--full-scale", is_flag=True, default=False,
-              help="Run the full 12000-trial campaign (overrides --trials).")
+              help=f"Run the full {FULL_SCALE_TRIALS}-trial campaign "
+                   "(overrides --trials).")
 @click.option("--dump-truth", is_flag=True, default=False,
               help="Also write truth_<seed>.json for every trial.")
 @_with(_simulate_values + _common)
@@ -203,17 +227,13 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
     """Run a benchmark campaign and write trials.csv plus summary.json."""
     cfg = build_config(config_path, strict_paper=strict_paper, **values)
     if full_scale:
-        cfg = replace(cfg, trials=12000)
-    out = _ensure_dir(out_dir)
-    try:
-        results = montecarlo.run_campaign(
-            cfg.trials, cfg.seed, cfg.trial_config(), cfg.parallel
-        )
-        summary = montecarlo.summarize(results, cfg.n_bins)
-    except (ConfigError, ValueError) as exc:
-        raise _ConfigFail(str(exc))
-    except CascalError as exc:
-        raise _RuntimeFail(str(exc))
+        cfg = replace(cfg, trials=FULL_SCALE_TRIALS)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = montecarlo.run_campaign(
+        cfg.trials, cfg.seed, cfg.trial_config(), cfg.parallel
+    )
+    summary = montecarlo.summarize(results, cfg.n_bins)
     montecarlo.write_trials_csv(results, out / "trials.csv")
     montecarlo.write_summary_json(summary, out / "summary.json")
     if dump_truth:
@@ -235,17 +255,6 @@ def _print_summary(summary: montecarlo.CampaignSummary) -> None:
     click.echo(f"win rate bayes vs alt2: {wr['alt2']:.3f}")
 
 
-def _ensure_dir(path_str: str):
-    from pathlib import Path
-
-    path = Path(path_str)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _ConfigFail(f"cannot create output directory {path}: {exc}")
-    return path
-
-
 @main.command()
 @click.option("--d1", "d1_path", type=click.Path(), required=True,
               help="CSV of device vs test-bed readings (header x,y).")
@@ -260,24 +269,18 @@ def _ensure_dir(path_str: str):
 def calibrate(d1_path, d2_path, method, model_path, config_path, strict_paper) -> None:
     """Fit a calibration model from two dataset CSVs."""
     cfg = build_config(config_path, strict_paper=strict_paper)
-    try:
-        d1 = cascade.load_dataset_csv(d1_path)
-        d2 = cascade.load_dataset_csv(d2_path)
-    except DatasetFormatError as exc:
-        raise _ConfigFail(str(exc))
-    try:
-        if method == "lut":
-            model = lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation)
-            doc = model.to_dict()
+    d1 = cascade.load_dataset_csv(d1_path)
+    d2 = cascade.load_dataset_csv(d2_path)
+    if method == "lut":
+        model = lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation)
+        doc = model.to_dict()
+    else:
+        ccfg = cfg.cascade_config()
+        if method == "bayesian":
+            fitted = cascade.calibrate_cascaded(d1, d2, ccfg)
         else:
-            ccfg = cfg.cascade_config()
-            if method == "bayesian":
-                fitted = cascade.calibrate_cascaded(d1, d2, ccfg)
-            else:
-                fitted = cascade.calibrate_alternative1(d1, d2, ccfg)
-            doc = cascade.model_to_dict(fitted)
-    except (CascalError, ValueError) as exc:
-        raise _RuntimeFail(str(exc))
+            fitted = cascade.calibrate_alternative1(d1, d2, ccfg)
+        doc = cascade.model_to_dict(fitted)
     write_json(model_path, doc)
     click.echo(f"wrote {model_path}")
 
@@ -295,7 +298,7 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
     """Correct raw readings with a fitted model."""
     model = _load_any_model(model_path)
     if with_variance and not isinstance(model, CascadeModel):
-        raise _ConfigFail("--with-variance requires a regression model; "
+        raise ConfigError("--with-variance requires a regression model; "
                           "lookup tables carry no variance")
     xs = _read_x_column(input_path)
     y_hat = model.apply(xs)
@@ -311,22 +314,19 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
 
 
 def _read_x_column(path: str) -> np.ndarray:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "x" not in reader.fieldnames:
-                raise _ConfigFail(f"{path}: expected a CSV with an 'x' column")
-            xs = []
-            for row in reader:
-                try:
-                    x = float(row["x"])
-                except (TypeError, ValueError):
-                    raise _ConfigFail(f"{path}: row {reader.line_num}: non-numeric x")
-                if not math.isfinite(x):
-                    raise _ConfigFail(f"{path}: row {reader.line_num}: non-finite x")
-                xs.append(x)
-    except OSError as exc:
-        raise _ConfigFail(f"cannot read {path}: {exc}")
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "x" not in reader.fieldnames:
+            raise DatasetFormatError(f"{path}: expected a CSV with an 'x' column")
+        xs = []
+        for row in reader:
+            try:
+                x = float(row["x"])
+            except (TypeError, ValueError):
+                raise DatasetFormatError(f"{path}: row {reader.line_num}: non-numeric x")
+            if not math.isfinite(x):
+                raise DatasetFormatError(f"{path}: row {reader.line_num}: non-finite x")
+            xs.append(x)
     return np.array(xs)
 
 
@@ -344,16 +344,8 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     """Print the accuracy cost of a model against a known truth."""
     cfg = build_config(config_path, n_quad=n_quad)
     model = _load_any_model(model_path)
-    try:
-        pair = sim.load_truth_pair(truth_path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _ConfigFail(f"cannot read truth {truth_path}: {exc}")
-    try:
-        j = sim.cost_j(model.apply, pair, cfg.n_quad)
-    except ConfigError as exc:
-        raise _ConfigFail(str(exc))
-    except CascalError as exc:
-        raise _RuntimeFail(str(exc))
+    pair = sim.load_truth_pair(truth_path)
+    j = sim.cost_j(model.apply, pair, cfg.n_quad)
     if errors_path:
         lo, hi = pair.range
         y1_lo = float(sim.sensor_eval(pair.sensor1, lo))
@@ -378,16 +370,8 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
 def summarize(trials_path, out_path, n_bins, config_path) -> None:
     """Recompute summary statistics from a trials.csv file."""
     cfg = build_config(config_path, n_bins=n_bins)
-    try:
-        results = montecarlo.read_trials_csv(trials_path)
-    except (OSError, ValueError, ConfigError) as exc:
-        raise _ConfigFail(f"cannot read trials {trials_path}: {exc}")
-    try:
-        summary = montecarlo.summarize(results, cfg.n_bins)
-    except ConfigError as exc:
-        raise _ConfigFail(str(exc))
-    except CascalError as exc:
-        raise _RuntimeFail(str(exc))
+    results = montecarlo.read_trials_csv(trials_path)
+    summary = montecarlo.summarize(results, cfg.n_bins)
     montecarlo.write_summary_json(summary, out_path)
     _print_summary(summary)
 

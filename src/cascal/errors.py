@@ -38,4 +38,4 @@ class EmptyCampaign(CascalError):
 
 
 class DatasetFormatError(CascalError):
-    """A dataset file does not conform to the expected schema."""
+    """An input file (dataset, readings, model, truth or trials) does not parse."""

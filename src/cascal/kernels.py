@@ -7,6 +7,7 @@ stationary kernels could be added behind the same two functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,11 @@ class Hyperparameters(Record):
     Attributes
     ----------
     length_scale : float
-        Characteristic length scale (meters); must be positive.
+        Characteristic length scale (meters); must be positive and finite.
     signal_variance : float
-        Prior variance magnitude (meters^2); must be positive.
+        Prior variance magnitude (meters^2); must be positive and finite.
     noise_variance : float
-        Observation noise variance (meters^2); must be nonnegative.
+        Observation noise variance (meters^2); must be nonnegative and finite.
     """
 
     length_scale: float
@@ -33,15 +34,17 @@ class Hyperparameters(Record):
     noise_variance: float
 
     def __post_init__(self) -> None:
-        if not (self.length_scale > 0):
-            raise ValueError(f"length_scale must be > 0, got {self.length_scale}")
-        if not (self.signal_variance > 0):
+        if not (0 < self.length_scale < math.inf):
             raise ValueError(
-                f"signal_variance must be > 0, got {self.signal_variance}"
+                f"length_scale must be finite and > 0, got {self.length_scale}"
             )
-        if not (self.noise_variance >= 0):
+        if not (0 < self.signal_variance < math.inf):
             raise ValueError(
-                f"noise_variance must be >= 0, got {self.noise_variance}"
+                f"signal_variance must be finite and > 0, got {self.signal_variance}"
+            )
+        if not (0 <= self.noise_variance < math.inf):
+            raise ValueError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
             )
 
 

@@ -21,10 +21,13 @@ import numpy as np
 from . import cascade, lut, sim
 from ._record import Record, write_json
 from .cascade import CascadeConfig
-from .errors import CascalError, ConfigError, EmptyCampaign
+from .errors import CascalError, ConfigError, DatasetFormatError, EmptyCampaign
 from .kernels import Hyperparameters
 
 METHODS = ("bayes", "alt1", "alt2")
+
+#: Default number of histogram bins in a campaign summary.
+N_BINS = 60
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ class CampaignSummary(Record):
     methods: dict[str, MethodSummary]
 
 
-def summarize(results: list, n_bins: int = 60) -> CampaignSummary:
+def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
     """Aggregate a campaign into per-method statistics.
 
     Histograms share common bin edges spanning [0, 99.5th percentile of the
@@ -272,6 +275,7 @@ def write_trials_csv(results: list, path) -> None:
 
 
 def read_trials_csv(path) -> list:
+    """Read a trials.csv back; raises DatasetFormatError naming the file row."""
     results = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -283,15 +287,16 @@ def read_trials_csv(path) -> list:
         for row in reader:
             if not row:
                 continue
-            results.append(
-                TrialResult(
-                    seed=int(row[0]),
-                    j_bayes=float(row[1]),
-                    j_alt1=float(row[2]),
-                    j_alt2=float(row[3]),
-                    flag=row[4] or None,
-                )
-            )
+            try:
+                seed, j_bayes, j_alt1, j_alt2, flag = row
+                result = TrialResult(int(seed), float(j_bayes), float(j_alt1),
+                                     float(j_alt2), flag=flag or None)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: row {reader.line_num}: expected an integer seed, "
+                    "three numbers and a flag"
+                ) from None
+            results.append(result)
     return results
 
 

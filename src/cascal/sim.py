@@ -18,7 +18,7 @@ import numpy as np
 
 from ._record import Record, write_json
 from .cascade import CalibrationDataset
-from .errors import ConfigError, NonMonotonic
+from .errors import ConfigError, DatasetFormatError, NonMonotonic
 
 #: Fraction of the position range added on each side before checking
 #: monotonicity and bracketing inversions.
@@ -96,8 +96,10 @@ def sample_truth(
     Normal(0, freq_var) — both arguments are variances.  ``rng_seed`` may
     be an integer seed or a Generator.
     """
-    if coeff_var < 0 or freq_var < 0 or noise_variance < 0 or n_terms < 0:
-        raise ValueError("variances and n_terms must be nonnegative")
+    for name, value in (("n_terms", n_terms), ("coeff_var", coeff_var),
+                        ("freq_var", freq_var), ("noise_variance", noise_variance)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
     rng = np.random.default_rng(rng_seed)
     return SensorTruth(
         sin_coeffs=rng.normal(0.0, math.sqrt(coeff_var), n_terms),
@@ -323,5 +325,9 @@ def save_truth_pair(pair: TruthPair, path) -> None:
 
 
 def load_truth_pair(path) -> TruthPair:
+    """Read a truth pair; raises DatasetFormatError if it does not parse."""
     with open(path) as fh:
-        return TruthPair.from_dict(json.load(fh))
+        try:
+            return TruthPair.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"cannot read truth {path}: {exc}") from None

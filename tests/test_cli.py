@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -5,6 +6,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from cascal import cascade, lut, sim
 from cascal.cli import RunConfig, main
@@ -529,3 +531,261 @@ class TestSummarizeCommand:
             "--out", tmp_path / "s.json",
         )
         assert result.exit_code == 2
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize(
+        "bad", [{"coeff_var": float("nan")}, {"noise_var": -1.0}, {"n_terms": -1}],
+        ids=["nan-coeff-var", "negative-noise-var", "negative-n-terms"],
+    )
+    def test_out_of_range_simulation_value_exits_2(self, tmp_path, bad, parallel):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, **bad}))
+        result = invoke(
+            "simulate", "--trials", 2, "--parallel", parallel,
+            "--out", tmp_path / "o", "--config", cfg,
+        )
+        assert result.exit_code == 2
+        assert next(iter(bad)) in result.stderr
+        assert not (tmp_path / "o" / "trials.csv").exists()
+
+
+TRIALS_HEAD = "seed,j_bayes,j_alt1,j_alt2,flag\n"
+TRIALS_OK = TRIALS_HEAD + "0,1e-4,2e-4,3e-4,\n1,nan,nan,nan,NonMonotonic: x\n"
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+def _undecodable(path):
+    path.write_bytes(b"\xff\xfex,y\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def good_files(identity_files, identity_model):
+    """identity_files plus a readings CSV, a LUT model, a truth and a trials.csv."""
+    d = identity_files
+    _write(d / "in.csv", "x\n0.25\n0.75\n")
+    calibrated = invoke(
+        "calibrate", "--d1", d / "d1.csv", "--d2", d / "d2.csv",
+        "--method", "lut", "--model", d / "lut.json",
+    )
+    assert calibrated.exit_code == 0, calibrated.output
+    pair, _ = sim.sample_truth_pair(0)
+    sim.save_truth_pair(pair, d / "truth.json")
+    _write(d / "trials.csv", TRIALS_OK)
+    return d
+
+
+# Each case: (command line from the good files g and a scratch dir t, the
+# path the error message must name, if any).
+BAD_INPUT = {
+    "missing --d1": lambda g, t: (
+        ["calibrate", "--d1", t / "nope.csv", "--d2", g / "d2.csv",
+         "--model", t / "m.json"], t / "nope.csv"),
+    "missing --d2": lambda g, t: (
+        ["calibrate", "--d1", g / "d1.csv", "--d2", t / "nope.csv",
+         "--model", t / "m.json"], t / "nope.csv"),
+    "missing --model": lambda g, t: (
+        ["predict", "--model", t / "nope.json", "--input", g / "in.csv",
+         "--out", t / "o.csv"], t / "nope.json"),
+    "missing --truth": lambda g, t: (
+        ["evaluate", "--model", g / "lut.json", "--truth", t / "nope.json"],
+        t / "nope.json"),
+    "missing --trials": lambda g, t: (
+        ["summarize", "--trials", t / "nope.csv", "--out", t / "s.json"],
+        t / "nope.csv"),
+    "missing --input": lambda g, t: (
+        ["predict", "--model", g / "model.json", "--input", t / "nope.csv",
+         "--out", t / "o.csv"], t / "nope.csv"),
+    "unwritable calibrate --model": lambda g, t: (
+        ["calibrate", "--d1", g / "d1.csv", "--d2", g / "d2.csv",
+         "--method", "lut", "--model", t / "no-dir" / "m.json"],
+        t / "no-dir" / "m.json"),
+    "unwritable predict --out": lambda g, t: (
+        ["predict", "--model", g / "model.json", "--input", g / "in.csv",
+         "--out", t / "no-dir" / "o.csv"], t / "no-dir" / "o.csv"),
+    "unwritable summarize --out": lambda g, t: (
+        ["summarize", "--trials", g / "trials.csv", "--out", t / "no-dir" / "s.json"],
+        t / "no-dir" / "s.json"),
+    "unwritable simulate --out": lambda g, t: (
+        ["simulate", "--trials", 1, "--n-quad", 11, "--out", g / "in.csv"],
+        g / "in.csv"),
+    "unwritable --errors-csv": lambda g, t: (
+        ["evaluate", "--model", g / "lut.json", "--truth", g / "truth.json",
+         "--n-quad", 11, "--errors-csv", t / "no-dir" / "e.csv"],
+        t / "no-dir" / "e.csv"),
+    "short trials row": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", TRIALS_OK + "2,1e-4,2e-4\n"),
+         "--out", t / "s.json"], t / "t.csv"),
+    "long trials row": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", TRIALS_OK + "2,1,2,3,,x\n"),
+         "--out", t / "s.json"], t / "t.csv"),
+    "non-numeric trials cell": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", TRIALS_OK + "2,1,two,3,\n"),
+         "--out", t / "s.json"], t / "t.csv"),
+    # Bytes that are not UTF-8: a CSV decoder's message names no file.
+    "undecodable --d1": lambda g, t: (
+        ["calibrate", "--d1", _undecodable(t / "d1.csv"), "--d2", g / "d2.csv",
+         "--model", t / "m.json"], ""),
+    "undecodable --input": lambda g, t: (
+        ["predict", "--model", g / "model.json", "--input", _undecodable(t / "in.csv"),
+         "--out", t / "o.csv"], ""),
+    "undecodable --model": lambda g, t: (
+        ["predict", "--model", _undecodable(t / "m.json"), "--input", g / "in.csv",
+         "--out", t / "o.csv"], t / "m.json"),
+    "undecodable --trials": lambda g, t: (
+        ["summarize", "--trials", _undecodable(t / "t.csv"), "--out", t / "s.json"],
+        ""),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", list(BAD_INPUT))
+    def test_bad_input_exits_2(self, good_files, tmp_path, case):
+        args, named = BAD_INPUT[case](good_files, tmp_path)
+        result = invoke(*args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert str(named) in result.stderr
+
+    def test_infinite_int_in_model_exits_2(self, good_files, tmp_path):
+        doc = json.loads((good_files / "model.json").read_text())
+        doc["config"]["optimizer"]["max_iters"] = float("inf")
+        model_path = _write(tmp_path / "bad.json", json.dumps(doc))
+        result = invoke(
+            "predict", "--model", model_path, "--input", good_files / "in.csv",
+            "--out", tmp_path / "o.csv",
+        )
+        assert result.exit_code == 2
+        assert "not a valid model file" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    def test_all_flagged_campaign_exits_1(self, good_files, tmp_path):
+        trials = _write(tmp_path / "t.csv", TRIALS_HEAD + "0,nan,nan,nan,boom\n")
+        result = invoke("summarize", "--trials", trials, "--out", tmp_path / "s.json")
+        assert result.exit_code == 1
+        assert "no unflagged trials" in result.stderr
+
+
+# Loader fuzzing: whatever a file holds, a command ends in an exit code
+# (SystemExit) or succeeds, and never lets an error escape as a traceback.
+_TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=80)
+_CSV_BODY = st.text("0123456789.,-+eEnaif x\n", max_size=60)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+def _edited(doc, path, value):
+    if not path:
+        return None if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def csv_texts(header):
+    return _TEXT | _CSV_BODY.map(lambda body: header + "\n" + body)
+
+
+def json_texts(*docs):
+    """Arbitrary text, arbitrary JSON, and valid docs with one part replaced."""
+    edits = st.sampled_from(docs).flatmap(lambda doc: st.builds(
+        lambda path, value: json.dumps(_edited(doc, path, value)),
+        st.sampled_from(list(_paths(doc))), _JSON | st.just(_DELETE),
+    ))
+    return _TEXT | _JSON.map(json.dumps) | edits
+
+
+def _docs(*paths):
+    return [json.loads(p.read_text()) for p in paths]
+
+
+@pytest.fixture(scope="module")
+def fuzz(good_files, tmp_path_factory):
+    """Run a command line with one file replaced by the drawn text."""
+    scratch = tmp_path_factory.mktemp("fuzz")
+    bad = scratch / "bad"
+
+    def run(text, *args):
+        bad.write_text(text, encoding="utf-8")
+        result = invoke(*[bad if a is None else a for a in args])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            f"{type(result.exception).__name__}: {result.exception} on {text!r}"
+        )
+
+    return good_files, scratch, run
+
+
+class TestLoaderFuzzing:
+    @settings(max_examples=50)
+    @given(text=csv_texts("x,y"))
+    def test_dataset_csv(self, fuzz, text):
+        g, t, run = fuzz
+        run(text, "calibrate", "--d1", None, "--d2", g / "d2.csv",
+            "--method", "lut", "--model", t / "m.json")
+
+    @settings(max_examples=50)
+    @given(text=csv_texts("x"))
+    def test_readings_csv(self, fuzz, text):
+        g, t, run = fuzz
+        run(text, "predict", "--model", g / "lut.json", "--input", None,
+            "--out", t / "o.csv")
+
+    @settings(max_examples=50)
+    @given(text=csv_texts(TRIALS_HEAD.strip()))
+    def test_trials_csv(self, fuzz, text):
+        g, t, run = fuzz
+        run(text, "summarize", "--trials", None, "--out", t / "s.json")
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_model_json(self, fuzz, data):
+        g, t, run = fuzz
+        text = data.draw(json_texts(*_docs(g / "model.json", g / "lut.json")))
+        run(text, "predict", "--model", None, "--input", g / "in.csv",
+            "--out", t / "o.csv")
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_truth_json(self, fuzz, data):
+        g, t, run = fuzz
+        text = data.draw(json_texts(*_docs(g / "truth.json")))
+        run(text, "evaluate", "--model", g / "lut.json", "--truth", None,
+            "--n-quad", 11)
+
+    @settings(max_examples=50)
+    @given(text=json_texts(SMALL_CONFIG))
+    def test_config(self, fuzz, text):
+        g, t, run = fuzz
+        run(text, "evaluate", "--config", None, "--model", g / "lut.json",
+            "--truth", g / "truth.json", "--n-quad", 11)

@@ -28,6 +28,14 @@ class TestHyperparameters:
             Hyperparameters(1.0, 1.0, -1e-12)
         Hyperparameters(1.0, 1.0, 0.0)  # zero noise is legal
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_non_finite_rejected(self, field, value):
+        args = [1.0, 1.0, 0.0]
+        args[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            Hyperparameters(*args)
+
     def test_dict_roundtrip(self):
         hp = Hyperparameters(0.3, 2.5, 1e-8)
         assert Hyperparameters.from_dict(hp.to_dict()) == hp
