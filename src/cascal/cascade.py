@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gp
 from ._record import Record, write_json
-from .errors import DatasetFormatError
+from .errors import DatasetFormatError, naming_undecodable
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
 
@@ -69,13 +69,19 @@ class CascadeConfig(Record):
 
 
 @dataclass(frozen=True)
-class CascadeModel:
+class CascadeModel(Record):
     """A fitted two-stage calibration map."""
 
     stage_one: GPPosterior
     stage_two: GPPosterior
     method_tag: str
     config: CascadeConfig
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CascadeModel":
+        if d["method_tag"] not in (METHOD_BAYES, METHOD_ALT1):
+            raise ValueError(f"not a cascade model: method_tag={d['method_tag']!r}")
+        return super().from_dict(d)
 
     def apply(self, y1: np.ndarray) -> np.ndarray:
         """Transform raw readings into corrected positions."""
@@ -170,9 +176,8 @@ def load_dataset_csv(path) -> CalibrationDataset:
     """
     xs: list[float] = []
     ys: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=1):
+    with open(path, newline="") as fh, naming_undecodable(path):
+        for row_no, row in enumerate(csv.reader(fh), start=1):
             if row_no == 1:
                 if [c.strip() for c in row] != ["x", "y"]:
                     raise DatasetFormatError(
@@ -210,28 +215,13 @@ def save_dataset_csv(ds: CalibrationDataset, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def model_to_dict(model: CascadeModel) -> dict:
-    return {
-        "method_tag": model.method_tag,
-        "stage_one": gp.posterior_to_dict(model.stage_one),
-        "stage_two": gp.posterior_to_dict(model.stage_two),
-        "config": model.config.to_dict(),
-    }
+model_to_dict = CascadeModel.to_dict
+model_from_dict = CascadeModel.from_dict
 
 
-def model_from_dict(d: dict) -> CascadeModel:
-    if d["method_tag"] not in (METHOD_BAYES, METHOD_ALT1):
-        raise ValueError(f"not a cascade model: method_tag={d['method_tag']!r}")
-    return CascadeModel(
-        stage_one=gp.posterior_from_dict(d["stage_one"]),
-        stage_two=gp.posterior_from_dict(d["stage_two"]),
-        method_tag=d["method_tag"],
-        config=CascadeConfig.from_dict(d["config"]),
-    )
-
-
-def save_model(model: CascadeModel, path) -> None:
-    write_json(path, model_to_dict(model))
+def save_model(model: Record, path) -> None:
+    """Write any fitted model, cascade or lookup table, as its JSON document."""
+    write_json(path, model.to_dict())
 
 
 def load_model(path) -> CascadeModel:

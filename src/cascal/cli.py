@@ -19,9 +19,8 @@ import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import write_json
 from .cascade import CascadeConfig, CascadeModel
-from .errors import CascalError, ConfigError, DatasetFormatError
+from .errors import CascalError, ConfigError, DatasetFormatError, naming_undecodable
 from .gp import OptimizerConfig
 from .lut import LutCascade
 from .montecarlo import TrialConfig
@@ -81,7 +80,7 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
         with open(config_path) as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {config_path}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
@@ -138,8 +137,8 @@ class _Cascal(click.Group):
 
     Exit 2: input that cannot be used as given, that is a config, dataset,
     readings, model, truth or trials file that does not parse
-    (ConfigError, DatasetFormatError, or bytes that do not decode), or
-    a path that cannot be read or written (an OSError naming a file).
+    (ConfigError or DatasetFormatError), or a path that cannot be read or
+    written (an OSError naming a file).
     Exit 1: any other toolkit error or ValueError, such as an all-flagged
     campaign or a non-invertible truth.
     """
@@ -147,7 +146,7 @@ class _Cascal(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ConfigError, DatasetFormatError, UnicodeDecodeError) as error:
+        except (ConfigError, DatasetFormatError) as error:
             raise _exit(2, error)
         except OSError as error:
             if error.filename is None:
@@ -273,15 +272,11 @@ def calibrate(d1_path, d2_path, method, model_path, config_path, strict_paper) -
     d2 = cascade.load_dataset_csv(d2_path)
     if method == "lut":
         model = lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation)
-        doc = model.to_dict()
+    elif method == "bayesian":
+        model = cascade.calibrate_cascaded(d1, d2, cfg.cascade_config())
     else:
-        ccfg = cfg.cascade_config()
-        if method == "bayesian":
-            fitted = cascade.calibrate_cascaded(d1, d2, ccfg)
-        else:
-            fitted = cascade.calibrate_alternative1(d1, d2, ccfg)
-        doc = cascade.model_to_dict(fitted)
-    write_json(model_path, doc)
+        model = cascade.calibrate_alternative1(d1, d2, cfg.cascade_config())
+    cascade.save_model(model, model_path)
     click.echo(f"wrote {model_path}")
 
 
@@ -314,7 +309,7 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
 
 
 def _read_x_column(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, naming_undecodable(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "x" not in reader.fieldnames:
             raise DatasetFormatError(f"{path}: expected a CSV with an 'x' column")
@@ -347,10 +342,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     pair = sim.load_truth_pair(truth_path)
     j = sim.cost_j(model.apply, pair, cfg.n_quad)
     if errors_path:
-        lo, hi = pair.range
-        y1_lo = float(sim.sensor_eval(pair.sensor1, lo))
-        y1_hi = float(sim.sensor_eval(pair.sensor1, hi))
-        grid = np.linspace(y1_lo, y1_hi, cfg.n_quad)
+        grid = sim._device_grid(pair, cfg.n_quad)
         err = np.asarray(model.apply(grid)) - sim.true_f13(pair, grid)
         with open(errors_path, "w", newline="") as fh:
             fh.write("y1,error\n")

@@ -104,7 +104,7 @@ class TrainingSet:
 
 
 @dataclass(frozen=True)
-class GPPosterior:
+class GPPosterior(Record):
     """A fitted regression stage.
 
     Stores the factored Gram matrix and the precomputed weight vector so
@@ -117,6 +117,28 @@ class GPPosterior:
     train: TrainingSet
     gram_factor: PsdFactor
     weights: np.ndarray
+
+    def to_dict(self) -> dict:
+        """Prior and training data; the factors are rebuilt on load."""
+        return {
+            "hyperparameters": self.hp.to_dict(),
+            "prior_mean": self.mean.to_dict(),
+            "train_inputs": self.train.inputs.tolist(),
+            "train_targets": self.train.targets.tolist(),
+            "target_cov": self.train.target_cov.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GPPosterior":
+        """Refit a posterior from its serialized training data."""
+        n = len(d["train_inputs"])
+        ts = TrainingSet(
+            inputs=np.asarray(d["train_inputs"], dtype=float),
+            targets=np.asarray(d["train_targets"], dtype=float),
+            target_cov=np.asarray(d["target_cov"], dtype=float).reshape(n, n),
+        )
+        return fit(ts, Hyperparameters.from_dict(d["hyperparameters"]),
+                   PriorMean.from_dict(d["prior_mean"]))
 
 
 class _Conditioned(NamedTuple):
@@ -391,25 +413,5 @@ def optimize_hyperparameters(
     return best_hp
 
 
-def posterior_to_dict(p: GPPosterior) -> dict:
-    """JSON-ready representation; factors are rebuilt on load."""
-    return {
-        "hyperparameters": p.hp.to_dict(),
-        "prior_mean": p.mean.to_dict(),
-        "train_inputs": p.train.inputs.tolist(),
-        "train_targets": p.train.targets.tolist(),
-        "target_cov": p.train.target_cov.tolist(),
-    }
-
-
-def posterior_from_dict(d: dict) -> GPPosterior:
-    """Refit a posterior from its serialized training data."""
-    n = len(d["train_inputs"])
-    cov = np.asarray(d["target_cov"], dtype=float).reshape(n, n)
-    ts = TrainingSet(
-        inputs=np.asarray(d["train_inputs"], dtype=float),
-        targets=np.asarray(d["train_targets"], dtype=float),
-        target_cov=cov,
-    )
-    return fit(ts, Hyperparameters.from_dict(d["hyperparameters"]),
-               PriorMean.from_dict(d["prior_mean"]))
+posterior_to_dict = GPPosterior.to_dict
+posterior_from_dict = GPPosterior.from_dict

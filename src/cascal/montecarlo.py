@@ -12,16 +12,21 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cascade, lut, sim
 from ._record import Record, write_json
 from .cascade import CascadeConfig
-from .errors import CascalError, ConfigError, DatasetFormatError, EmptyCampaign
+from .errors import (
+    CascalError,
+    ConfigError,
+    DatasetFormatError,
+    EmptyCampaign,
+    naming_undecodable,
+)
 from .kernels import Hyperparameters
 
 METHODS = ("bayes", "alt1", "alt2")
@@ -49,11 +54,7 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Costs and diagnostics for one seed.
-
-    Wall times are excluded from equality so that results compare by their
-    deterministic payload only.
-    """
+    """Costs and diagnostics for one seed."""
 
     seed: int
     j_bayes: float
@@ -65,7 +66,6 @@ class TrialResult:
     flag: str | None = None
     d1_checksum: str | None = None
     d2_checksum: str | None = None
-    wall_time_ms: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -115,32 +115,19 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         )
 
     costs: dict[str, float] = {}
-    times: dict[str, float] = {}
     hp1 = hp2 = None
     try:
-        t0 = time.perf_counter()
         stage_one = cascade.calibrate_stage_one(d2, cfg.cascade)
-        t_shared = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        bayes = cascade.calibrate_cascaded(d1, d2, cfg.cascade, stage_one=stage_one)
-        costs["bayes"] = sim.cost_j(bayes.apply, pair, cfg.n_quad)
-        times["bayes"] = 1e3 * (t_shared + time.perf_counter() - t0)
-        hp1, hp2 = bayes.stage_one.hp, bayes.stage_two.hp
-
-        t0 = time.perf_counter()
-        alt1 = cascade.calibrate_alternative1(d1, d2, cfg.cascade, stage_one=stage_one)
-        costs["alt1"] = sim.cost_j(alt1.apply, pair, cfg.n_quad)
-        times["alt1"] = 1e3 * (t_shared + time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        alt2 = lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation)
-        costs["alt2"] = sim.cost_j(alt2.apply, pair, cfg.n_quad)
-        times["alt2"] = 1e3 * (time.perf_counter() - t0)
+        models = {
+            "bayes": cascade.calibrate_cascaded(d1, d2, cfg.cascade, stage_one=stage_one),
+            "alt1": cascade.calibrate_alternative1(d1, d2, cfg.cascade, stage_one=stage_one),
+            "alt2": lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation),
+        }
+        costs = {m: sim.cost_j(models[m].apply, pair, cfg.n_quad) for m in METHODS}
+        hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
         flag = None
     except (CascalError, ValueError) as exc:
         flag = f"{type(exc).__name__}: {exc}"
-        costs.clear()
 
     return TrialResult(
         seed=seed,
@@ -153,7 +140,6 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         flag=flag,
         d1_checksum=dataset_checksum(d1),
         d2_checksum=dataset_checksum(d2),
-        wall_time_ms=times,
     )
 
 
@@ -275,9 +261,13 @@ def write_trials_csv(results: list, path) -> None:
 
 
 def read_trials_csv(path) -> list:
-    """Read a trials.csv back; raises DatasetFormatError naming the file row."""
+    """Read a trials.csv back; raises DatasetFormatError naming the file row.
+
+    An unflagged row's three costs must be finite and nonnegative, as
+    ``cost_j`` makes them; a flagged row's are ``nan``.
+    """
     results = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, naming_undecodable(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRIALS_HEADER:
@@ -296,6 +286,11 @@ def read_trials_csv(path) -> list:
                     f"{path}: row {reader.line_num}: expected an integer seed, "
                     "three numbers and a flag"
                 ) from None
+            if result.ok and not all(0 <= result.j_for(m) < math.inf for m in METHODS):
+                raise DatasetFormatError(
+                    f"{path}: row {reader.line_num}: an unflagged trial's costs "
+                    "must be finite and >= 0"
+                )
             results.append(result)
     return results
 

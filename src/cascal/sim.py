@@ -271,6 +271,17 @@ def generate_d2(
     return CalibrationDataset(x=y2[keep], y=y3[keep])
 
 
+def _device_grid(pair: TruthPair, n: int) -> np.ndarray:
+    """``n`` equally spaced device readings over the noiseless image of the range.
+
+    The ends are exactly the device sensor's readings at the range's ends.
+    """
+    lo, hi = pair.range
+    y1_lo = float(sensor_eval(pair.sensor1, lo))
+    y1_hi = float(sensor_eval(pair.sensor1, hi))
+    return np.linspace(y1_lo, y1_hi, n)
+
+
 def generate_d1(
     pair: TruthPair,
     n1: int = 100,
@@ -285,10 +296,7 @@ def generate_d1(
     if n1 < 2:
         raise ConfigError(f"n1 must be >= 2, got {n1}")
     rng = np.random.default_rng(rng)
-    lo, hi = pair.range
-    y1_lo = float(sensor_eval(pair.sensor1, lo))
-    y1_hi = float(sensor_eval(pair.sensor1, hi))
-    y1_grid = np.linspace(y1_lo, y1_hi, n1)
+    y1_grid = _device_grid(pair, n1)
     y_star = invert_sensor(pair.sensor1, y1_grid, rng_range=pair.range)
     y2 = sensor_read(pair.sensor2, y_star, rng)
     x = y1_grid + rng.normal(0.0, math.sqrt(pair.sensor1.noise_variance), n1)
@@ -309,12 +317,10 @@ def cost_j(model_apply, pair: TruthPair, n_quad: int = 2001) -> float:
     """
     if n_quad < 2:
         raise ConfigError(f"n_quad must be >= 2, got {n_quad}")
-    lo, hi = pair.range
-    y1_lo = float(sensor_eval(pair.sensor1, lo))
-    y1_hi = float(sensor_eval(pair.sensor1, hi))
+    grid = _device_grid(pair, n_quad)
+    y1_lo, y1_hi = grid[0], grid[-1]
     if not y1_lo < y1_hi:
         raise NonMonotonic("device sensor range collapsed; cannot evaluate cost")
-    grid = np.linspace(y1_lo, y1_hi, n_quad)
     err = np.asarray(model_apply(grid), dtype=float) - true_f13(pair, grid)
     mean_sq = np.trapezoid(err * err, grid) / (y1_hi - y1_lo)
     return float(math.sqrt(mean_sq))

@@ -644,6 +644,20 @@ BAD_INPUT = {
 }
 
 
+# Each case: a command line whose one undecodable file is t/bad.
+UNDECODABLE = {
+    "--d1": lambda g, t: ["calibrate", "--d1", t / "bad", "--d2", g / "d2.csv",
+                          "--model", t / "m.json"],
+    "--d2": lambda g, t: ["calibrate", "--d1", g / "d1.csv", "--d2", t / "bad",
+                          "--model", t / "m.json"],
+    "--input": lambda g, t: ["predict", "--model", g / "model.json",
+                             "--input", t / "bad", "--out", t / "o.csv"],
+    "--trials": lambda g, t: ["summarize", "--trials", t / "bad", "--out", t / "s.json"],
+    "--config": lambda g, t: ["calibrate", "--config", t / "bad", "--d1", g / "d1.csv",
+                              "--d2", g / "d2.csv", "--model", t / "m.json"],
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("case", list(BAD_INPUT))
     def test_bad_input_exits_2(self, good_files, tmp_path, case):
@@ -653,6 +667,15 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert str(named) in result.stderr
+
+    @pytest.mark.parametrize("option", list(UNDECODABLE))
+    def test_undecodable_file_names_path(self, good_files, tmp_path, option):
+        bad = _undecodable(tmp_path / "bad")
+        result = invoke(*UNDECODABLE[option](good_files, tmp_path))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert str(bad) in result.stderr
+        assert "can't decode" in result.stderr
 
     def test_infinite_int_in_model_exits_2(self, good_files, tmp_path):
         doc = json.loads((good_files / "model.json").read_text())

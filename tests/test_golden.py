@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cascal import cascade, gp, montecarlo, sim
+from cascal import cascade, gp, lut, montecarlo, sim
 from cascal.cascade import CascadeConfig, CascadeModel
 from cascal.cli import main
 from cascal.gp import OptimizerConfig, TrainingSet
@@ -119,6 +119,20 @@ def test_lut_model_bytes(tmp_path):
         "--config", str(tmp_path / "cfg.json"),
     ])
     assert result.exit_code == 0, result.output
+    assert path.read_bytes() == golden("model_lut.json")
+
+
+def test_lut_model_save_model_bytes(tmp_path):
+    """cascade.save_model writes a LUT model as the CLI does."""
+    (tmp_path / "d1.csv").write_text(LUT_D1)
+    (tmp_path / "d2.csv").write_text(LUT_D2)
+    model = lut.calibrate_lut_cascade(
+        cascade.load_dataset_csv(tmp_path / "d1.csv"),
+        cascade.load_dataset_csv(tmp_path / "d2.csv"),
+        "clamp",
+    )
+    path = tmp_path / "model_lut.json"
+    cascade.save_model(model, path)
     assert path.read_bytes() == golden("model_lut.json")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascal import montecarlo, sim
-from cascal.errors import ConfigError, EmptyCampaign
+from cascal.errors import ConfigError, DatasetFormatError, EmptyCampaign
 from cascal.montecarlo import (
     METHODS,
     TrialConfig,
@@ -251,6 +251,32 @@ class TestTrialsCsv:
         back = read_trials_csv(path)[0]
         assert back.flag == "NotPositiveDefinite: boom"
         assert np.isnan(back.j_bayes)
+
+    def test_flagged_row_among_scored_rows_reads_back(self, tmp_path):
+        nan = float("nan")
+        results = [
+            TrialResult(seed=3, j_bayes=1e-4, j_alt1=2e-4, j_alt2=3e-4),
+            TrialResult(seed=4, j_bayes=nan, j_alt1=nan, j_alt2=nan,
+                        flag="NonMonotonic: redraw"),
+        ]
+        path = tmp_path / "trials.csv"
+        write_trials_csv(results, path)
+        ok, flagged = read_trials_csv(path)
+        assert (ok.seed, ok.j_bayes, ok.j_alt1, ok.j_alt2, ok.flag) == (
+            3, 1e-4, 2e-4, 3e-4, None)
+        assert flagged.flag == "NonMonotonic: redraw"
+        assert all(np.isnan(flagged.j_for(m)) for m in METHODS)
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-5"])
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    def test_unflagged_impossible_cost_names_row(self, tmp_path, cost, column):
+        cells = ["1", "1e-4", "2e-4", "3e-4", ""]
+        cells[column] = cost
+        path = tmp_path / "trials.csv"
+        path.write_text(",".join(montecarlo.TRIALS_HEADER) + "\n"
+                        + "0,1e-4,2e-4,3e-4,\n" + ",".join(cells) + "\n")
+        with pytest.raises(DatasetFormatError, match="row 3"):
+            read_trials_csv(path)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
