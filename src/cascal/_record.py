@@ -1,9 +1,11 @@
 """One mapping between frozen dataclasses and their JSON documents.
 
 A :class:`Record` maps its fields by name and converts each value by the
-field's annotation: arrays and tuples are lists of floats, nested records
-and ``dict[str, T]`` are objects, and scalars go through their type
-(``float``, ``int``, ``bool``, ``str``) both ways.
+field's annotation: arrays and tuples are lists of floats, and nested
+records and ``dict[str, T]`` are objects.  Decoding is strict, so a file
+loads with exactly the values it holds: a bool or str only from its own
+JSON type, a number never from a bool, an int only from an integral number
+and every float finite.  A failure is a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import typing
 
 import numpy as np
@@ -27,16 +30,28 @@ def _to_json(hint, value):
     return hint(value)
 
 
-def _from_json(hint, value):
+_EXPECTED = {bool: "a JSON bool", str: "a string",
+             int: "an integral number", float: "a finite number"}
+
+
+def _from_json(name, hint, value):
     if typing.get_origin(hint) is dict:
         value_hint = typing.get_args(hint)[1]
-        return {k: _from_json(value_hint, v) for k, v in value.items()}
+        return {k: _from_json(name, value_hint, v) for k, v in value.items()}
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)
-    if hint is np.ndarray:
-        return np.asarray(value, dtype=float)
-    if hint is tuple:
-        return tuple(float(v) for v in value)
+    if hint in (np.ndarray, tuple):
+        entries = [_from_json(f"{name}[{i}]", float, v) for i, v in enumerate(value)]
+        return np.array(entries, dtype=float) if hint is np.ndarray else tuple(entries)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif hint is float:  # nan, inf and ints past the float range fail
+        ok = number and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ValueError(f"{name} must be {_EXPECTED[hint]}, got {value!r}")
     return hint(value)
 
 
@@ -59,7 +74,7 @@ class Record:
     @classmethod
     def from_dict(cls, d: dict):
         return cls(**{
-            name: _from_json(hint, d[name]) for name, hint in _field_hints(cls)
+            name: _from_json(name, hint, d[name]) for name, hint in _field_hints(cls)
         })
 
 

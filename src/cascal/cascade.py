@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gp
 from ._record import Record, write_json
-from .errors import DatasetFormatError, naming_undecodable
+from .errors import CascalError, DatasetFormatError, naming_undecodable
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
 
@@ -224,6 +224,14 @@ def save_model(model: Record, path) -> None:
     write_json(path, model.to_dict())
 
 
-def load_model(path) -> CascadeModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+def load_model(path) -> Record:
+    """Read any model file, picking its kind by ``method_tag``."""
+    from . import lut  # lut imports this module
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc["method_tag"] == lut.METHOD_LUT:
+            return lut.LutCascade.from_dict(doc)
+        return model_from_dict(doc)
+    except (KeyError, ValueError, TypeError, OverflowError, CascalError) as exc:
+        raise DatasetFormatError(f"{path}: not a valid model file: {exc}")

@@ -19,15 +19,15 @@ import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
+from ._record import Record
 from .cascade import CascadeConfig, CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError, naming_undecodable
 from .gp import OptimizerConfig
-from .lut import LutCascade
 from .montecarlo import TrialConfig
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Tunable values with their defaults.
 
     Simulation, optimizer and lookup-table defaults are those of
@@ -70,9 +70,6 @@ class RunConfig:
         return TrialConfig(cascade=self.cascade_config(), **shared)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
 def build_config(config_path: str | None, **overrides) -> RunConfig:
     """Layer defaults, config file, and CLI overrides (None = not given)."""
     cfg = RunConfig()
@@ -84,27 +81,16 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
                 raise ConfigError(f"cannot read config {config_path}: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        defaults = cfg.to_dict()
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(
                 f"{config_path}: unknown config keys: {', '.join(sorted(unknown))}"
             )
-        coerced = {}
-        for key, value in data.items():
-            want = type(getattr(cfg, key))
-            try:
-                if (want is bool) != isinstance(value, bool):
-                    raise TypeError
-                # An int key takes an integral, finite number: 2.7 is not 2
-                # trials, and 1e400 (inf) is not an OverflowError.
-                if want is int and isinstance(value, float) and not value.is_integer():
-                    raise ValueError
-                coerced[key] = want(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    f"{config_path}: {key} must be of type {want.__name__}"
-                )
-        cfg = replace(cfg, **coerced)
+        try:
+            cfg = RunConfig.from_dict({**defaults, **data})
+        except ValueError as exc:
+            raise ConfigError(f"{config_path}: {exc}")
     given = {k: v for k, v in overrides.items() if v is not None}
     if given:
         cfg = replace(cfg, **given)
@@ -113,17 +99,6 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
             f"lut_extrapolation must be one of {lut.EXTRAPOLATION_MODES}"
         )
     return cfg
-
-
-def _load_any_model(path: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc["method_tag"] == lut.METHOD_LUT:
-            return LutCascade.from_dict(doc)
-        return cascade.model_from_dict(doc)
-    except (KeyError, ValueError, TypeError, OverflowError, CascalError) as exc:
-        raise DatasetFormatError(f"{path}: not a valid model file: {exc}")
 
 
 def _exit(code: int, error: Exception) -> click.ClickException:
@@ -291,7 +266,7 @@ def calibrate(d1_path, d2_path, method, model_path, config_path, strict_paper) -
               help="Add a var column (regression models only).")
 def predict(model_path, input_path, out_path, with_variance) -> None:
     """Correct raw readings with a fitted model."""
-    model = _load_any_model(model_path)
+    model = cascade.load_model(model_path)
     if with_variance and not isinstance(model, CascadeModel):
         raise ConfigError("--with-variance requires a regression model; "
                           "lookup tables carry no variance")
@@ -338,7 +313,7 @@ def _read_x_column(path: str) -> np.ndarray:
 def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     """Print the accuracy cost of a model against a known truth."""
     cfg = build_config(config_path, n_quad=n_quad)
-    model = _load_any_model(model_path)
+    model = cascade.load_model(model_path)
     pair = sim.load_truth_pair(truth_path)
     j = sim.cost_j(model.apply, pair, cfg.n_quad)
     if errors_path:

@@ -126,6 +126,8 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         costs = {m: sim.cost_j(models[m].apply, pair, cfg.n_quad) for m in METHODS}
         hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
         flag = None
+    except ConfigError:
+        raise
     except (CascalError, ValueError) as exc:
         flag = f"{type(exc).__name__}: {exc}"
 

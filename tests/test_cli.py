@@ -536,8 +536,9 @@ class TestSummarizeCommand:
 class TestValueChecks:
     @pytest.mark.parametrize("parallel", [1, 2])
     @pytest.mark.parametrize(
-        "bad", [{"coeff_var": float("nan")}, {"noise_var": -1.0}, {"n_terms": -1}],
-        ids=["nan-coeff-var", "negative-noise-var", "negative-n-terms"],
+        "bad", [{"coeff_var": float("nan")}, {"noise_var": -1.0}, {"n_terms": -1},
+                {"n_quad": 1}],
+        ids=["nan-coeff-var", "negative-noise-var", "negative-n-terms", "n-quad-1"],
     )
     def test_out_of_range_simulation_value_exits_2(self, tmp_path, bad, parallel):
         cfg = tmp_path / "cfg.json"
@@ -563,6 +564,23 @@ def _write(path, text):
 def _undecodable(path):
     path.write_bytes(b"\xff\xfex,y\n")
     return path
+
+
+def _edited_file(src, dst, path, value):
+    """dst holding src's JSON document with the value at path replaced."""
+    return _write(dst, json.dumps(_edited(json.loads(src.read_text()), path, value)))
+
+
+def _predict_edited(g, t, model, path, value):
+    edited = _edited_file(g / model, t / "m.json", path, value)
+    return ["predict", "--model", edited, "--input", g / "in.csv",
+            "--out", t / "o.csv"], edited
+
+
+def _evaluate_edited_truth(g, t, path, value):
+    edited = _edited_file(g / "truth.json", t / "t.json", path, value)
+    return ["evaluate", "--model", g / "lut.json", "--truth", edited,
+            "--n-quad", 11], edited
 
 
 @pytest.fixture(scope="module")
@@ -641,6 +659,20 @@ BAD_INPUT = {
     "undecodable --trials": lambda g, t: (
         ["summarize", "--trials", _undecodable(t / "t.csv"), "--out", t / "s.json"],
         ""),
+    # Model and truth files decode by the --config rule: no bool from a
+    # string, no int from 2.7, and no non-finite float.
+    "string bool in model": lambda g, t: _predict_edited(
+        g, t, "model.json", ("config", "stage2_learned_noise"), "false"),
+    "non-integral int in model": lambda g, t: _predict_edited(
+        g, t, "model.json", ("config", "optimizer", "max_iters"), 2.7),
+    "nan LUT value": lambda g, t: _predict_edited(
+        g, t, "lut.json", ("stage_two", "values", 1), float("nan")),
+    "infinite LUT value": lambda g, t: _predict_edited(
+        g, t, "lut.json", ("stage_two", "values", 1), float("inf")),
+    "nan truth coefficient": lambda g, t: _evaluate_edited_truth(
+        g, t, ("sensor1", "sin_coeffs", 0), float("nan")),
+    "nan truth noise variance": lambda g, t: _evaluate_edited_truth(
+        g, t, ("sensor1", "noise_variance"), float("nan")),
 }
 
 

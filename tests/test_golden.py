@@ -144,6 +144,14 @@ def test_lut_model_golden_loads():
     assert model.to_dict() == doc
 
 
+def test_load_model_reads_lut_model():
+    """cascade.load_model picks the LUT kind by the file's method_tag."""
+    model = cascade.load_model(GOLDEN / "model_lut.json")
+    assert isinstance(model, LutCascade)
+    doc = json.loads(golden("model_lut.json"))
+    assert model.to_dict() == LutCascade.from_dict(doc).to_dict()
+
+
 TRUTH = sim.TruthPair(
     sim.SensorTruth([0.01, -0.02], [0.005, 0.0], [3.0, -1.5], 1e-8),
     sim.SensorTruth([0.0], [-0.0125], [2.5], 0.0),
