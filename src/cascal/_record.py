@@ -5,13 +5,14 @@ field's annotation: arrays and tuples are lists of floats, and nested
 records and ``dict[str, T]`` are objects.  Decoding is strict, so a file
 loads with exactly the values it holds: a bool or str only from its own
 JSON type, a number never from a bool, an int only from an integral number
-and every float finite.  A failure is a ``ValueError`` naming the field.
+and every float finite, array entries too.  A failure names the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 import typing
@@ -34,6 +35,21 @@ _EXPECTED = {bool: "a JSON bool", str: "a string",
              int: "an integral number", float: "a finite number"}
 
 
+def float_array(name, value, ndim: int = 1) -> np.ndarray:
+    """A list of numbers, or at ``ndim=2`` of equal-length lists of them."""
+    nested = ndim == 2 and isinstance(value, list) and set(map(type, value)) == {list}
+    flat = itertools.chain.from_iterable(value) if nested else value
+    # Exact type sets (so no bool), not a loop: a covariance holds n² entries.
+    if isinstance(value, list) and set(map(type, flat)) <= {int, float}:
+        try:  # a ragged matrix, or an int past the float range, fails here
+            array = np.asarray(value, dtype=float)
+            if (array.ndim == ndim or not value) and np.isfinite(array).all():
+                return array
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a {ndim}-d list of finite numbers")
+
+
 def _from_json(name, hint, value):
     if typing.get_origin(hint) is dict:
         value_hint = typing.get_args(hint)[1]
@@ -41,8 +57,8 @@ def _from_json(name, hint, value):
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)
     if hint in (np.ndarray, tuple):
-        entries = [_from_json(f"{name}[{i}]", float, v) for i, v in enumerate(value)]
-        return np.array(entries, dtype=float) if hint is np.ndarray else tuple(entries)
+        array = float_array(name, value)
+        return array if hint is np.ndarray else tuple(array.tolist())
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
         ok = number and (isinstance(value, int) or value.is_integer())

@@ -215,7 +215,7 @@ def save_dataset_csv(ds: CalibrationDataset, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-model_to_dict = CascadeModel.to_dict
+#: ``load_model`` looks this name up on every call, so it can be wrapped.
 model_from_dict = CascadeModel.from_dict
 
 

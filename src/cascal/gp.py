@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.optimize
 
-from ._record import Record
+from ._record import Record, float_array
 from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 from .numerics import (
@@ -131,11 +131,12 @@ class GPPosterior(Record):
     @classmethod
     def from_dict(cls, d: dict) -> "GPPosterior":
         """Refit a posterior from its serialized training data."""
-        n = len(d["train_inputs"])
+        inputs = float_array("train_inputs", d["train_inputs"])
+        n = len(inputs)  # an empty model writes target_cov as []
         ts = TrainingSet(
-            inputs=np.asarray(d["train_inputs"], dtype=float),
-            targets=np.asarray(d["train_targets"], dtype=float),
-            target_cov=np.asarray(d["target_cov"], dtype=float).reshape(n, n),
+            inputs=inputs,
+            targets=float_array("train_targets", d["train_targets"]),
+            target_cov=float_array("target_cov", d["target_cov"], ndim=2).reshape(n, n),
         )
         return fit(ts, Hyperparameters.from_dict(d["hyperparameters"]),
                    PriorMean.from_dict(d["prior_mean"]))
@@ -411,7 +412,3 @@ def optimize_hyperparameters(
             "no optimizer start produced a finite log marginal likelihood"
         )
     return best_hp
-
-
-posterior_to_dict = GPPosterior.to_dict
-posterior_from_dict = GPPosterior.from_dict

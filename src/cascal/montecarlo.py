@@ -91,6 +91,8 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     Any method failure flags the whole trial (costs become NaN) so that
     summaries only ever compare methods on identical draws.
     """
+    costs: dict[str, float] = {}
+    rejected, d1, d2, hp1, hp2, flag = 0, None, None, None, None, None
     try:
         pair, rejected = sim.sample_truth_pair(
             seed,
@@ -103,20 +105,6 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         d2 = sim.generate_d2(
             pair, cfg.n_grid, cfg.edge_remove, cfg.center_remove, sim.substream(seed, 2)
         )
-    except ConfigError:
-        raise
-    except (CascalError, ValueError) as exc:
-        return TrialResult(
-            seed=seed,
-            j_bayes=math.nan,
-            j_alt1=math.nan,
-            j_alt2=math.nan,
-            flag=f"{type(exc).__name__}: {exc}",
-        )
-
-    costs: dict[str, float] = {}
-    hp1 = hp2 = None
-    try:
         stage_one = cascade.calibrate_stage_one(d2, cfg.cascade)
         models = {
             "bayes": cascade.calibrate_cascaded(d1, d2, cfg.cascade, stage_one=stage_one),
@@ -125,7 +113,6 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         }
         costs = {m: sim.cost_j(models[m].apply, pair, cfg.n_quad) for m in METHODS}
         hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
-        flag = None
     except ConfigError:
         raise
     except (CascalError, ValueError) as exc:
@@ -140,8 +127,8 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         hp_stage_two=hp2,
         rejected_draws=rejected,
         flag=flag,
-        d1_checksum=dataset_checksum(d1),
-        d2_checksum=dataset_checksum(d2),
+        d1_checksum=None if d1 is None else dataset_checksum(d1),
+        d2_checksum=None if d2 is None else dataset_checksum(d2),
     )
 
 
@@ -158,6 +145,8 @@ def run_campaign(
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {base_seed}")
     seeds = range(base_seed, base_seed + n_trials)
     if max_parallel <= 1:
         return [run_trial(s, cfg) for s in seeds]

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: the suite's small Gram matrices run faster without
+# threads, and a value already set in the environment still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

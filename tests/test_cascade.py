@@ -8,12 +8,11 @@ from cascal import cascade, gp, sim
 from cascal.cascade import (
     CalibrationDataset,
     CascadeConfig,
+    CascadeModel,
     calibrate_alternative1,
     calibrate_cascaded,
     calibrate_stage_one,
     load_dataset_csv,
-    model_from_dict,
-    model_to_dict,
     propagate,
     save_dataset_csv,
 )
@@ -315,8 +314,8 @@ class TestModelJson:
     def test_roundtrip_preserves_predictions(self):
         model = calibrate_cascaded(identity_dataset(10, seed=9),
                                    identity_dataset(10, seed=10))
-        doc = json.loads(json.dumps(model_to_dict(model)))
-        back = model_from_dict(doc)
+        doc = json.loads(json.dumps(model.to_dict()))
+        back = CascadeModel.from_dict(doc)
         grid = np.linspace(0.0, 1.0, 17)
         np.testing.assert_allclose(
             back.apply(grid), model.apply(grid), rtol=1e-12, atol=0
@@ -326,7 +325,7 @@ class TestModelJson:
 
     def test_rejects_foreign_method_tag(self):
         with pytest.raises(ValueError):
-            model_from_dict({"method_tag": "lut"})
+            CascadeModel.from_dict({"method_tag": "lut"})
 
     def test_file_roundtrip(self, tmp_path):
         model = calibrate_alternative1(identity_dataset(10, seed=11),

@@ -537,8 +537,9 @@ class TestValueChecks:
     @pytest.mark.parametrize("parallel", [1, 2])
     @pytest.mark.parametrize(
         "bad", [{"coeff_var": float("nan")}, {"noise_var": -1.0}, {"n_terms": -1},
-                {"n_quad": 1}],
-        ids=["nan-coeff-var", "negative-noise-var", "negative-n-terms", "n-quad-1"],
+                {"n_quad": 1}, {"seed": -3}],
+        ids=["nan-coeff-var", "negative-noise-var", "negative-n-terms", "n-quad-1",
+             "negative-seed"],
     )
     def test_out_of_range_simulation_value_exits_2(self, tmp_path, bad, parallel):
         cfg = tmp_path / "cfg.json"
@@ -575,6 +576,14 @@ def _predict_edited(g, t, model, path, value):
     edited = _edited_file(g / model, t / "m.json", path, value)
     return ["predict", "--model", edited, "--input", g / "in.csv",
             "--out", t / "o.csv"], edited
+
+
+def _predict_stringified(g, t, path):
+    """predict on model.json with the number at path written as its string."""
+    value = json.loads((g / "model.json").read_text())
+    for key in path:
+        value = value[key]
+    return _predict_edited(g, t, "model.json", path, repr(value))
 
 
 def _evaluate_edited_truth(g, t, path, value):
@@ -673,6 +682,19 @@ BAD_INPUT = {
         g, t, ("sensor1", "sin_coeffs", 0), float("nan")),
     "nan truth noise variance": lambda g, t: _evaluate_edited_truth(
         g, t, ("sensor1", "noise_variance"), float("nan")),
+    # Array entries decode by the same rule, the stage-two training arrays
+    # of a bayes model included: a number never from a string or a bool,
+    # and a float never from an int past the float range.
+    "string train input": lambda g, t: _predict_stringified(
+        g, t, ("stage_two", "train_inputs", 0)),
+    "string train target": lambda g, t: _predict_stringified(
+        g, t, ("stage_two", "train_targets", 0)),
+    "string target covariance": lambda g, t: _predict_stringified(
+        g, t, ("stage_two", "target_cov", 0, 0)),
+    "bool train target": lambda g, t: _predict_edited(
+        g, t, "model.json", ("stage_two", "train_targets", 1), True),
+    "huge int truth frequency": lambda g, t: _evaluate_edited_truth(
+        g, t, ("sensor1", "freqs", 0), 10**400),
 }
 
 

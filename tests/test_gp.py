@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from cascal import cascade, gp, sim
 from cascal.errors import NotPositiveDefinite
 from cascal.gp import (
+    GPPosterior,
     OptimizerConfig,
     TrainingSet,
     _condition,
@@ -14,8 +15,6 @@ from cascal.gp import (
     fit,
     log_marginal_likelihood,
     optimize_hyperparameters,
-    posterior_from_dict,
-    posterior_to_dict,
     predict_cov,
     predict_mean,
     predict_var,
@@ -417,8 +416,8 @@ class TestSerialization:
     def test_roundtrip_reproduces_predictions(self):
         ts, hp, y_star = random_problem(31, 6, m=5)
         p = fit(ts, hp, IDENTITY)
-        doc = json.loads(json.dumps(posterior_to_dict(p)))
-        q = posterior_from_dict(doc)
+        doc = json.loads(json.dumps(p.to_dict()))
+        q = GPPosterior.from_dict(doc)
         np.testing.assert_allclose(
             predict_mean(q, y_star), predict_mean(p, y_star), rtol=1e-12, atol=0
         )
@@ -428,5 +427,19 @@ class TestSerialization:
 
     def test_roundtrip_empty(self):
         p = fit(empty_ts(), HP, IDENTITY)
-        q = posterior_from_dict(json.loads(json.dumps(posterior_to_dict(p))))
+        q = GPPosterior.from_dict(json.loads(json.dumps(p.to_dict())))
         np.testing.assert_array_equal(predict_mean(q, [0.5]), [0.5])
+
+    @pytest.mark.parametrize("field, edit", [
+        ("train_inputs", lambda a: ["0.1"] + a[1:]),
+        ("train_targets", lambda a: [True] + a[1:]),
+        ("train_targets", lambda a: [10**400] + a[1:]),
+        ("target_cov", lambda a: a[:-1] + [a[-1][:-1]]),
+        ("target_cov", lambda a: sum(a, [])),
+    ], ids=["string", "bool", "huge-int", "ragged", "flat"])
+    def test_from_dict_rejects_edited_array(self, field, edit):
+        ts, hp, _ = random_problem(32, 4)
+        doc = json.loads(json.dumps(fit(ts, hp, IDENTITY).to_dict()))
+        doc[field] = edit(doc[field])
+        with pytest.raises(ValueError, match=field):
+            GPPosterior.from_dict(doc)
