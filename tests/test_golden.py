@@ -1,11 +1,13 @@
-"""Golden files pin the on-disk JSON of every artefact byte for byte.
+"""Golden files pin the on-disk JSON and CSV of every artefact byte for byte.
 
-The bayes, alt1 and LUT model files, the truth file and ``summary.json``
-are built from hand-written hyperparameters, tables, truths and costs: no
-optimizer output and no BLAS-dependent floats, so the bytes are the same
-on any machine.  Each test writes its artefact with the package's own
-writer and compares it with ``tests/golden/``, then loads the golden file
-and checks that it writes back unchanged.
+The bayes, alt1 and LUT model files, the truth file, ``summary.json``,
+``trials.csv`` and a dataset CSV are built from hand-written
+hyperparameters, tables, truths and costs: no optimizer output and no
+BLAS-dependent floats, so the bytes are the same on any machine.  Each
+test writes its artefact with the package's own writer and compares it
+with ``tests/golden/``, then loads the golden file and checks that it
+writes back unchanged.  The ``predict`` and ``evaluate --errors-csv``
+files are written by the commands from the golden model and truth files.
 """
 
 import json
@@ -190,3 +192,79 @@ def test_summary_bytes(tmp_path):
     path = tmp_path / "summary.json"
     montecarlo.write_summary_json(montecarlo.summarize(results, n_bins=4), path)
     assert path.read_bytes() == golden("summary.json")
+
+
+# CSV files.  Floats are written as their shortest repr, so the costs and
+# readings below are chosen to need all 17 significant digits or an
+# exponent.  The flagged trial's flag holds a comma and a quote, which the
+# writer must quote.
+NAN = float("nan")
+TRIALS = [
+    TrialResult(0, 8.794e-05, 0.1 + 0.2, 6.179e-04),
+    TrialResult(1, NAN, NAN, NAN, flag='ValueError: x = "0.5", not a reading'),
+]
+
+
+def test_trials_csv_bytes(tmp_path):
+    path = tmp_path / "trials.csv"
+    montecarlo.write_trials_csv(TRIALS, path)
+    assert path.read_bytes() == golden("trials.csv")
+
+
+def test_trials_csv_golden_reads(tmp_path):
+    results = montecarlo.read_trials_csv(GOLDEN / "trials.csv")
+    assert [r.flag for r in results] == [t.flag for t in TRIALS]
+    path = tmp_path / "trials.csv"
+    montecarlo.write_trials_csv(results, path)
+    assert path.read_bytes() == golden("trials.csv")
+
+
+DATASET = cascade.CalibrationDataset(
+    x=np.array([0.0, 0.1, 1 / 3, 0.7, 1e-05]),
+    y=np.array([-2.5e-09, 0.1 + 0.2, 0.5, 1 / 7, 1.0]),
+)
+
+
+def test_dataset_csv_bytes(tmp_path):
+    path = tmp_path / "dataset.csv"
+    cascade.save_dataset_csv(DATASET, path)
+    assert path.read_bytes() == golden("dataset.csv")
+
+
+def test_dataset_csv_golden_reads(tmp_path):
+    ds = cascade.load_dataset_csv(GOLDEN / "dataset.csv")
+    np.testing.assert_array_equal(ds.x, DATASET.x)
+    np.testing.assert_array_equal(ds.y, DATASET.y)
+
+
+# The predict and errors files go through the commands that write them.
+# Every reading lies at least 9 length scales from the bayes model's
+# training inputs, so each correction is the prior mean and the signal
+# variance to the last bit, whatever BLAS kernel computes the rest.
+READINGS = "x\n-2.7\n3.3\n3.3333333333333335\n1000.1\n"
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("predict_bayes.csv", []),
+    ("predict_bayes_var.csv", ["--with-variance"]),
+])
+def test_predict_csv_bytes(tmp_path, name, flags):
+    (tmp_path / "in.csv").write_text(READINGS)
+    path = tmp_path / name
+    result = CliRunner().invoke(main, [
+        "predict", "--model", str(GOLDEN / "model_bayes.json"),
+        "--input", str(tmp_path / "in.csv"), "--out", str(path), *flags,
+    ])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == golden(name)
+
+
+def test_errors_csv_bytes(tmp_path):
+    path = tmp_path / "errors.csv"
+    result = CliRunner().invoke(main, [
+        "evaluate", "--model", str(GOLDEN / "model_lut.json"),
+        "--truth", str(GOLDEN / "truth.json"), "--n-quad", "9",
+        "--errors-csv", str(path),
+    ])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() == golden("errors.csv")
