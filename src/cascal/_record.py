@@ -1,4 +1,4 @@
-"""One mapping between frozen dataclasses and their JSON documents.
+"""The file formats: one JSON mapping for records, one rule for CSV tables.
 
 A :class:`Record` maps its fields by name and converts each value by the
 field's annotation: arrays and tuples are lists of floats, and nested
@@ -6,18 +6,30 @@ records and ``dict[str, T]`` are objects.  Decoding is strict, so a file
 loads with exactly the values it holds: a bool or str only from its own
 JSON type, a number never from a bool, an int only from an integral number
 and every float finite, array entries too.  A failure names the field.
+
+Every CSV file read (dataset, readings, trials) goes through
+:func:`read_table`: columns by name, extra columns ignored, every row as
+wide as the header, blank rows skipped, each cell converted by its
+column's type, and a failure names the file line.  Every CSV file written
+(those and the predict and errors outputs) goes through
+:func:`write_table`, floats as their shortest ``repr``, so they read back
+exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 import typing
 
 import numpy as np
+
+from .errors import DatasetFormatError
 
 
 def _to_json(hint, value):
@@ -99,3 +111,79 @@ def write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# CSV cell types: each converts one cell, or raises ValueError naming
+# what the cell is not.
+
+def number(cell: str) -> float:
+    """A float cell; ``nan`` and ``inf`` included."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError("non-numeric") from None
+
+
+def finite(cell: str) -> float:
+    """A float cell that must be finite."""
+    value = number(cell)
+    if not math.isfinite(value):
+        raise ValueError("non-finite")
+    return value
+
+
+def integer(cell: str) -> int:
+    """An integer cell."""
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError("non-integer") from None
+
+
+def read_table(path, columns: dict):
+    """Yield (file line, cells) for each row of the CSV file at ``path``.
+
+    ``columns`` maps each wanted column's name to its cell type, and the
+    cells come in that order.  Any failure is a DatasetFormatError naming
+    the file line, such as ``row 3: non-finite x``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, [])]
+            if not set(columns) <= set(header):
+                raise DatasetFormatError(
+                    f"{path}: row 1: expected columns {','.join(columns)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            picks = [(header.index(name), name, cell) for name, cell in columns.items()]
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise DatasetFormatError(
+                        f"{path}: row {line}: expected {len(header)} columns, "
+                        f"got {len(row)}"
+                    )
+                cells = []
+                for i, name, cell in picks:
+                    try:
+                        cells.append(cell(row[i]))
+                    except ValueError as exc:
+                        raise DatasetFormatError(
+                            f"{path}: row {line}: {exc} {name}"
+                        ) from None
+                yield line, cells
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # such as a field past csv.field_size_limit()
+        raise DatasetFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV file; give floats as Python floats, written as their repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -11,15 +11,14 @@ shortcut this toolkit exists to improve on.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gp
-from ._record import Record, write_json
-from .errors import CascalError, DatasetFormatError, naming_undecodable
+from ._record import Record, finite, read_table, write_json, write_table
+from .errors import CascalError, DatasetFormatError
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
 
@@ -170,44 +169,17 @@ def calibrate_alternative1(
 
 
 def load_dataset_csv(path) -> CalibrationDataset:
-    """Read a dataset from CSV with header ``x,y``.
+    """Read a dataset from the ``x`` and ``y`` columns of a CSV file.
 
-    Raises DatasetFormatError naming the offending (1-based) file row.
+    Raises DatasetFormatError naming the offending (1-based) file line.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    with open(path, newline="") as fh, naming_undecodable(path):
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if row_no == 1:
-                if [c.strip() for c in row] != ["x", "y"]:
-                    raise DatasetFormatError(
-                        f"{path}: row 1: expected header 'x,y', got {','.join(row)!r}"
-                    )
-                continue
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DatasetFormatError(
-                    f"{path}: row {row_no}: expected 2 columns, got {len(row)}"
-                )
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: row {row_no}: non-numeric cell"
-                ) from None
-    try:
-        return CalibrationDataset(x=np.array(xs), y=np.array(ys))
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
+    rows = [cells for _, cells in read_table(path, {"x": finite, "y": finite})]
+    xy = np.array(rows, dtype=float).reshape(-1, 2)
+    return CalibrationDataset(x=xy[:, 0], y=xy[:, 1])
 
 
 def save_dataset_csv(ds: CalibrationDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\n")
-        for x, y in zip(ds.x, ds.y):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    write_table(path, ["x", "y"], zip(ds.x.tolist(), ds.y.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ command-line flags, in that order.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -19,9 +17,9 @@ import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import Record
+from ._record import Record, finite, read_table, write_table
 from .cascade import CascadeConfig, CascadeModel
-from .errors import CascalError, ConfigError, DatasetFormatError, naming_undecodable
+from .errors import CascalError, ConfigError, DatasetFormatError
 from .gp import OptimizerConfig
 from .montecarlo import TrialConfig
 
@@ -137,9 +135,10 @@ def main() -> None:
     """Cascaded sensor calibration and its simulation benchmark."""
 
 
+_config = click.option("--config", "config_path", type=click.Path(), default=None,
+                       help="Flat JSON config file; flags override it.")
 _common = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="Flat JSON config file; flags override it."),
+    _config,
     click.option("--strict-paper", "strict_paper", is_flag=True, default=None,
                  help="Disable the learned stage-two noise term (the propagated "
                       "covariance is then the only stage-two uncertainty)."),
@@ -270,34 +269,12 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
     if with_variance and not isinstance(model, CascadeModel):
         raise ConfigError("--with-variance requires a regression model; "
                           "lookup tables carry no variance")
-    xs = _read_x_column(input_path)
-    y_hat = model.apply(xs)
-    var = model.apply_variance(xs) if with_variance else None
-    with open(out_path, "w", newline="") as fh:
-        fh.write("x,y_hat,var\n" if with_variance else "x,y_hat\n")
-        for i, (x, y) in enumerate(zip(xs, y_hat)):
-            row = f"{float(x)!r},{float(y)!r}"
-            if var is not None:
-                row += f",{float(var[i])!r}"
-            fh.write(row + "\n")
+    xs = np.array([x for _, (x,) in read_table(input_path, {"x": finite})])
+    columns = {"x": xs, "y_hat": model.apply(xs)}
+    if with_variance:
+        columns["var"] = model.apply_variance(xs)
+    write_table(out_path, list(columns), zip(*(c.tolist() for c in columns.values())))
     click.echo(f"wrote {out_path}")
-
-
-def _read_x_column(path: str) -> np.ndarray:
-    with open(path, newline="") as fh, naming_undecodable(path):
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "x" not in reader.fieldnames:
-            raise DatasetFormatError(f"{path}: expected a CSV with an 'x' column")
-        xs = []
-        for row in reader:
-            try:
-                x = float(row["x"])
-            except (TypeError, ValueError):
-                raise DatasetFormatError(f"{path}: row {reader.line_num}: non-numeric x")
-            if not math.isfinite(x):
-                raise DatasetFormatError(f"{path}: row {reader.line_num}: non-finite x")
-            xs.append(x)
-    return np.array(xs)
 
 
 @main.command()
@@ -308,8 +285,7 @@ def _read_x_column(path: str) -> np.ndarray:
 @click.option("--errors-csv", "errors_path", type=click.Path(), default=None,
               help="Optional per-point error CSV.")
 @_n_quad
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Flat JSON config file; flags override it.")
+@_config
 def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     """Print the accuracy cost of a model against a known truth."""
     cfg = build_config(config_path, n_quad=n_quad)
@@ -319,10 +295,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     if errors_path:
         grid = sim._device_grid(pair, cfg.n_quad)
         err = np.asarray(model.apply(grid)) - sim.true_f13(pair, grid)
-        with open(errors_path, "w", newline="") as fh:
-            fh.write("y1,error\n")
-            for g, e in zip(grid, err):
-                fh.write(f"{float(g)!r},{float(e)!r}\n")
+        write_table(errors_path, ["y1", "error"], zip(grid.tolist(), err.tolist()))
     click.echo(f"J = {j:.9e}")
 
 
@@ -332,8 +305,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="Where to write summary.json.")
 @_n_bins
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Flat JSON config file; flags override it.")
+@_config
 def summarize(trials_path, out_path, n_bins, config_path) -> None:
     """Recompute summary statistics from a trials.csv file."""
     cfg = build_config(config_path, n_bins=n_bins)

@@ -1,7 +1,5 @@
 """Exception types shared across the toolkit."""
 
-import contextlib
-
 
 class CascalError(Exception):
     """Base class for all toolkit-specific failures."""
@@ -41,12 +39,3 @@ class EmptyCampaign(CascalError):
 
 class DatasetFormatError(CascalError):
     """An input file (dataset, readings, model, truth or trials) does not parse."""
-
-
-@contextlib.contextmanager
-def naming_undecodable(path):
-    """Re-raise text that does not decode as a DatasetFormatError naming ``path``."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None

@@ -9,7 +9,6 @@ functions of (base seed, trial count, config), regardless of parallelism.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -18,15 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cascade, lut, sim
-from ._record import Record, write_json
+from ._record import Record, integer, number, read_table, write_json, write_table
 from .cascade import CascadeConfig
-from .errors import (
-    CascalError,
-    ConfigError,
-    DatasetFormatError,
-    EmptyCampaign,
-    naming_undecodable,
-)
+from .errors import CascalError, ConfigError, DatasetFormatError, EmptyCampaign
 from .kernels import Hyperparameters
 
 METHODS = ("bayes", "alt1", "alt2")
@@ -232,57 +225,38 @@ def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
 # results export
 # ---------------------------------------------------------------------------
 
-TRIALS_HEADER = ["seed", "j_bayes", "j_alt1", "j_alt2", "flag"]
+#: The columns of trials.csv and the type of each cell.
+TRIALS_COLUMNS = {
+    "seed": integer, "j_bayes": number, "j_alt1": number, "j_alt2": number, "flag": str,
+}
 
 
 def write_trials_csv(results: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIALS_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    int(r.seed),
-                    repr(float(r.j_bayes)),
-                    repr(float(r.j_alt1)),
-                    repr(float(r.j_alt2)),
-                    r.flag or "",
-                ]
-            )
+    write_table(path, list(TRIALS_COLUMNS), [
+        (int(r.seed), float(r.j_bayes), float(r.j_alt1), float(r.j_alt2), r.flag or "")
+        for r in results
+    ])
 
 
 def read_trials_csv(path) -> list:
-    """Read a trials.csv back; raises DatasetFormatError naming the file row.
+    """Read a trials.csv back; raises DatasetFormatError naming the file line.
 
-    An unflagged row's three costs must be finite and nonnegative, as
-    ``cost_j`` makes them; a flagged row's are ``nan``.
+    Each seed appears once.  An unflagged row's three costs must be finite
+    and nonnegative, as ``cost_j`` makes them; a flagged row's are ``nan``.
     """
-    results = []
-    with open(path, newline="") as fh, naming_undecodable(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRIALS_HEADER:
-            raise ConfigError(
-                f"{path}: expected header {','.join(TRIALS_HEADER)!r}"
+    results, seen = [], {}
+    for line, (seed, j_bayes, j_alt1, j_alt2, flag) in read_table(path, TRIALS_COLUMNS):
+        if seed in seen:
+            raise DatasetFormatError(
+                f"{path}: row {line}: seed {seed} repeats row {seen[seed]}"
             )
-        for row in reader:
-            if not row:
-                continue
-            try:
-                seed, j_bayes, j_alt1, j_alt2, flag = row
-                result = TrialResult(int(seed), float(j_bayes), float(j_alt1),
-                                     float(j_alt2), flag=flag or None)
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: row {reader.line_num}: expected an integer seed, "
-                    "three numbers and a flag"
-                ) from None
-            if result.ok and not all(0 <= result.j_for(m) < math.inf for m in METHODS):
-                raise DatasetFormatError(
-                    f"{path}: row {reader.line_num}: an unflagged trial's costs "
-                    "must be finite and >= 0"
-                )
-            results.append(result)
+        seen[seed] = line
+        result = TrialResult(seed, j_bayes, j_alt1, j_alt2, flag=flag or None)
+        if result.ok and not all(0 <= result.j_for(m) < math.inf for m in METHODS):
+            raise DatasetFormatError(
+                f"{path}: row {line}: an unflagged trial's costs must be finite and >= 0"
+            )
+        results.append(result)
     return results
 
 

@@ -289,6 +289,17 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
 
+    @pytest.mark.parametrize("text", [
+        "y,x\n0.2,0.1\n0.4,0.3\n",
+        "x,y,z\n0.1,0.2,a\n0.3,0.4,b\n",
+    ])
+    def test_columns_read_by_name(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds = load_dataset_csv(path)
+        np.testing.assert_array_equal(ds.x, [0.1, 0.3])
+        np.testing.assert_array_equal(ds.y, [0.2, 0.4])
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

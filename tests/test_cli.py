@@ -655,6 +655,21 @@ BAD_INPUT = {
     "non-numeric trials cell": lambda g, t: (
         ["summarize", "--trials", _write(t / "t.csv", TRIALS_OK + "2,1,two,3,\n"),
          "--out", t / "s.json"], t / "t.csv"),
+    # Every CSV file is read by one rule, whose messages name the file line.
+    "empty --d1": lambda g, t: (
+        ["calibrate", "--d1", _write(t / "d1.csv", ""), "--d2", g / "d2.csv",
+         "--model", t / "m.json"], f"{t / 'd1.csv'}: row 1"),
+    "nan dataset cell": lambda g, t: (
+        ["calibrate", "--d1", _write(t / "d1.csv", "x,y\n0.1,0.1\n0.2,nan\n"),
+         "--d2", g / "d2.csv", "--model", t / "m.json"],
+        f"{t / 'd1.csv'}: row 3: non-finite y"),
+    "readings row wider than header": lambda g, t: (
+        ["predict", "--model", g / "model.json", "--input", _write(t / "in.csv", "x\n0.5,9\n"),
+         "--out", t / "o.csv"], f"{t / 'in.csv'}: row 2"),
+    "readings field past the csv module's size limit": lambda g, t: (
+        ["predict", "--model", g / "model.json",
+         "--input", _write(t / "in.csv", "x\n0.5\n" + "1" * 200_000 + "\n"),
+         "--out", t / "o.csv"], f"{t / 'in.csv'}: row 3"),
     # Bytes that are not UTF-8: a CSV decoder's message names no file.
     "undecodable --d1": lambda g, t: (
         ["calibrate", "--d1", _undecodable(t / "d1.csv"), "--d2", g / "d2.csv",

@@ -273,7 +273,7 @@ class TestTrialsCsv:
         cells = ["1", "1e-4", "2e-4", "3e-4", ""]
         cells[column] = cost
         path = tmp_path / "trials.csv"
-        path.write_text(",".join(montecarlo.TRIALS_HEADER) + "\n"
+        path.write_text(",".join(montecarlo.TRIALS_COLUMNS) + "\n"
                         + "0,1e-4,2e-4,3e-4,\n" + ",".join(cells) + "\n")
         with pytest.raises(DatasetFormatError, match="row 3"):
             read_trials_csv(path)
@@ -281,5 +281,13 @@ class TestTrialsCsv:
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DatasetFormatError, match="row 1"):
+            read_trials_csv(path)
+
+    def test_repeated_seed_names_row(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text(",".join(montecarlo.TRIALS_COLUMNS) + "\n"
+                        + "0,1e-4,2e-4,3e-4,\n1,1e-4,2e-4,3e-4,\n"
+                        + "0,nan,nan,nan,boom\n")
+        with pytest.raises(DatasetFormatError, match="row 4: seed 0 repeats row 2"):
             read_trials_csv(path)
