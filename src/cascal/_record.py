@@ -7,7 +7,9 @@ loads with exactly the values it holds: a bool or str only from its own
 JSON type, a number never from a bool, an int only from an integral number
 and every float finite, array entries too.  A failure names the field.
 
-Every CSV file read (dataset, readings, trials) goes through
+Every JSON file read (model, truth, config) goes through :func:`read_json`,
+and any failure to parse or decode one, deep nesting included, names the
+file.  Every CSV file read (dataset, readings, trials) goes through
 :func:`read_table`: columns by name, extra columns ignored, every row as
 wide as the header, blank rows skipped, each cell converted by its
 column's type, and a failure names the file line.  Every CSV file written
@@ -29,7 +31,7 @@ import typing
 
 import numpy as np
 
-from .errors import DatasetFormatError
+from .errors import CascalError, DatasetFormatError
 
 
 def _to_json(hint, value):
@@ -104,6 +106,16 @@ class Record:
         return cls(**{
             name: _from_json(name, hint, d[name]) for name, hint in _field_hints(cls)
         })
+
+
+def read_json(path, what: str, decode):
+    """``decode`` of the JSON file at ``path``; any failure names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return decode(json.load(fh))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            CascalError) as exc:
+        raise DatasetFormatError(f"{path}: not a valid {what}: {exc}") from None
 
 
 def write_json(path, doc) -> None:

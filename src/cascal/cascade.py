@@ -11,14 +11,12 @@ shortcut this toolkit exists to improve on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gp
-from ._record import Record, finite, read_table, write_json, write_table
-from .errors import CascalError, DatasetFormatError
+from ._record import Record, finite, read_json, read_table, write_json, write_table
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
 
@@ -198,12 +196,11 @@ def save_model(model: Record, path) -> None:
 
 def load_model(path) -> Record:
     """Read any model file, picking its kind by ``method_tag``."""
+    return read_json(path, "model file", _model_from_doc)
+
+
+def _model_from_doc(doc: dict) -> Record:
     from . import lut  # lut imports this module
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc["method_tag"] == lut.METHOD_LUT:
-            return lut.LutCascade.from_dict(doc)
-        return model_from_dict(doc)
-    except (KeyError, ValueError, TypeError, OverflowError, CascalError) as exc:
-        raise DatasetFormatError(f"{path}: not a valid model file: {exc}")
+    if doc["method_tag"] == lut.METHOD_LUT:
+        return lut.LutCascade.from_dict(doc)
+    return model_from_dict(doc)

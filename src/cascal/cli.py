@@ -8,7 +8,6 @@ command-line flags, in that order.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import Record, finite, read_table, write_table
+from ._record import Record, finite, read_json, read_table, write_table
 from .cascade import CascadeConfig, CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError
 from .gp import OptimizerConfig
@@ -68,27 +67,21 @@ class RunConfig(Record):
         return TrialConfig(cascade=self.cascade_config(), **shared)
 
 
+def _config_from_doc(doc) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    defaults = RunConfig().to_dict()
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return RunConfig.from_dict({**defaults, **doc})
+
+
 def build_config(config_path: str | None, **overrides) -> RunConfig:
     """Layer defaults, config file, and CLI overrides (None = not given)."""
     cfg = RunConfig()
     if config_path:
-        with open(config_path) as fh:
-            try:
-                data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config {config_path}: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
-        defaults = cfg.to_dict()
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"{config_path}: unknown config keys: {', '.join(sorted(unknown))}"
-            )
-        try:
-            cfg = RunConfig.from_dict({**defaults, **data})
-        except ValueError as exc:
-            raise ConfigError(f"{config_path}: {exc}")
+        cfg = read_json(config_path, "config file", _config_from_doc)
     given = {k: v for k, v in overrides.items() if v is not None}
     if given:
         cfg = replace(cfg, **given)
@@ -201,13 +194,15 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
     cfg = build_config(config_path, strict_paper=strict_paper, **values)
     if full_scale:
         cfg = replace(cfg, trials=FULL_SCALE_TRIALS)
+    montecarlo.check_n_bins(cfg.n_bins)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = montecarlo.run_campaign(
         cfg.trials, cfg.seed, cfg.trial_config(), cfg.parallel
     )
-    summary = montecarlo.summarize(results, cfg.n_bins)
+    # trials.csv first: its flags explain an all-flagged campaign.
     montecarlo.write_trials_csv(results, out / "trials.csv")
+    summary = montecarlo.summarize(results, cfg.n_bins)
     montecarlo.write_summary_json(summary, out / "summary.json")
     if dump_truth:
         for r in results:

@@ -38,4 +38,4 @@ class EmptyCampaign(CascalError):
 
 
 class DatasetFormatError(CascalError):
-    """An input file (dataset, readings, model, truth or trials) does not parse."""
+    """A dataset, readings, model, truth, config or trials file does not parse."""

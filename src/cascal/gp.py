@@ -40,6 +40,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 #: largest diagonal entry.
 MAX_JITTER_FRACTION = 1e-5
 
+#: Relative asymmetry above which a target covariance is rejected.
+SYMMETRY_TOL = 1e-9
+
 
 def _gram_max_jitter(k: np.ndarray) -> float:
     diag_max = float(np.max(np.diag(k))) if k.size else 0.0
@@ -59,7 +62,8 @@ class TrainingSet:
     target_cov : ndarray, shape (n, n)
         Covariance of the targets (meters^2).  Use zeros for exact or
         i.i.d.-noise observations (the noise then lives in the
-        hyperparameters).
+        hyperparameters).  Asymmetry beyond ``SYMMETRY_TOL`` is rejected;
+        within it the matrix is stored as (C + C.T) / 2, exactly symmetric.
     """
 
     inputs: np.ndarray
@@ -70,25 +74,23 @@ class TrainingSet:
         inputs = np.asarray(self.inputs, dtype=float).ravel()
         targets = np.asarray(self.targets, dtype=float).ravel()
         cov = np.asarray(self.target_cov, dtype=float)
+        n = inputs.shape[0]
+        if targets.shape[0] != n:
+            raise ValueError(f"{n} inputs but {targets.shape[0]} targets")
+        if cov.shape != (n, n):
+            raise ValueError(f"target_cov has shape {cov.shape}, expected {(n, n)}")
+        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
+            raise ValueError("inputs and targets must be finite")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("target_cov must be finite")
+        asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
+        if asym > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(cov), initial=0.0))):
+            raise ValueError(f"target_cov is not symmetric (asymmetry {asym:.3e})")
+        cov = 0.5 * (cov + cov.T)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "target_cov", cov)
-        n = inputs.shape[0]
-        if targets.shape[0] != n:
-            raise ValueError(
-                f"{n} inputs but {targets.shape[0]} targets"
-            )
-        if cov.shape != (n, n):
-            raise ValueError(
-                f"target_cov has shape {cov.shape}, expected {(n, n)}"
-            )
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-            raise ValueError("inputs and targets must be finite")
-        if n:
-            if not np.all(np.isfinite(cov)):
-                raise ValueError("target_cov must be finite")
-            # PSD check; factor_psd also rejects asymmetry beyond 1e-9.
-            factor_psd(cov, max_jitter=_gram_max_jitter(cov) + 1e-12)
+        factor_psd(cov, max_jitter=_gram_max_jitter(cov) + 1e-12)  # PSD check
 
     @property
     def n(self) -> int:
@@ -97,9 +99,7 @@ class TrainingSet:
     @classmethod
     def exact(cls, inputs: np.ndarray, targets: np.ndarray) -> "TrainingSet":
         """Training set with zero target covariance."""
-        inputs = np.asarray(inputs, dtype=float).ravel()
-        targets = np.asarray(targets, dtype=float).ravel()
-        n = inputs.shape[0]
+        n = np.size(inputs)
         return cls(inputs=inputs, targets=targets, target_cov=np.zeros((n, n)))
 
 
@@ -170,6 +170,7 @@ def _condition(
     depend on the hyperparameters, so it drops out of the derivatives.
     """
     k = kernel_matrix(ts.inputs, ts.inputs, hp)
+    # k and target_cov are exactly symmetric, so gram is, as factor_psd needs.
     gram = k + ts.target_cov + hp.noise_variance * np.eye(ts.n)
     factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
     residual = ts.targets - eval_prior_mean(mean, ts.inputs)

@@ -169,6 +169,11 @@ class CampaignSummary(Record):
     methods: dict[str, MethodSummary]
 
 
+def check_n_bins(n_bins: int) -> None:
+    if n_bins < 1:
+        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+
+
 def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
     """Aggregate a campaign into per-method statistics.
 
@@ -176,8 +181,7 @@ def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
     pooled costs] and are normalized to unit area over the binned range;
     win rates count strict wins (ties favor neither side).
     """
-    if n_bins < 1:
-        raise ConfigError(f"n_bins must be >= 1, got {n_bins}")
+    check_n_bins(n_bins)
     ok = [r for r in results if r.ok]
     if not ok:
         raise EmptyCampaign("no unflagged trials to summarize")

@@ -16,9 +16,6 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-#: Relative asymmetry above which an input matrix is rejected.
-SYMMETRY_TOL = 1e-9
-
 #: Jitter escalation: multiply by this factor each retry.
 JITTER_GROWTH = 10.0
 
@@ -51,15 +48,16 @@ class PsdFactor:
 def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
-    The input is symmetrized as (A + A.T) / 2 and factored.  If the plain
-    Cholesky fails, jitter starting at 1e-12 * max(diag(A)) is added to the
-    diagonal and grown geometrically (up to ``max_jitter``) until the
-    factorization succeeds.
+    Only the lower triangle of the input is read, as by LAPACK's dpotrf, so
+    the caller must pass a symmetric matrix.  If the plain Cholesky fails,
+    jitter starting at 1e-12 * max(diag(A)) is added to the diagonal and
+    grown geometrically (up to ``max_jitter``) until the factorization
+    succeeds.
 
     Parameters
     ----------
     a : ndarray, shape (n, n)
-        Symmetric matrix; asymmetry beyond a small tolerance is rejected.
+        Symmetric matrix; its strict upper triangle is ignored.
     max_jitter : float
         Largest diagonal addition allowed before giving up.
 
@@ -72,7 +70,7 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     NotPositiveDefinite
         If the factorization still fails at ``max_jitter``.
     ValueError
-        If the input is not square or not symmetric within tolerance.
+        If the input is not square.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -80,12 +78,6 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     n = a.shape[0]
     if n == 0:
         return PsdFactor(lower_triangular=np.zeros((0, 0)), jitter_used=0.0)
-
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL * (1.0 + scale):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    a = 0.5 * (a + a.T)
 
     diag_max = float(np.max(np.diag(a)))
     base = 1e-12 * diag_max if diag_max > 0 else 1e-12

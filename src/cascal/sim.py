@@ -10,15 +10,14 @@ never is on hardware.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import Record, write_json
+from ._record import Record, read_json, write_json
 from .cascade import CalibrationDataset
-from .errors import ConfigError, DatasetFormatError, NonMonotonic
+from .errors import ConfigError, NonMonotonic
 
 #: Fraction of the position range added on each side before checking
 #: monotonicity and bracketing inversions.
@@ -332,8 +331,4 @@ def save_truth_pair(pair: TruthPair, path) -> None:
 
 def load_truth_pair(path) -> TruthPair:
     """Read a truth pair; raises DatasetFormatError if it does not parse."""
-    with open(path) as fh:
-        try:
-            return TruthPair.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"cannot read truth {path}: {exc}") from None
+    return read_json(path, "truth file", TruthPair.from_dict)

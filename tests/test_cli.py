@@ -8,9 +8,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cascal import cascade, lut, sim
+from cascal import cascade, lut, montecarlo, sim
 from cascal.cli import RunConfig, main
-from cascal.montecarlo import TrialConfig
+from cascal.montecarlo import TrialConfig, TrialResult
 
 runner = CliRunner()
 
@@ -125,6 +125,28 @@ class TestSimulate:
             "--edge-remove", 60, "--center-remove", 60,
         )
         assert result.exit_code == 2
+
+    def test_zero_bins_exits_2_before_any_trial(self, tmp_path, monkeypatch):
+        def no_campaign(*args):
+            pytest.fail("simulate ran trials with n_bins 0")
+
+        monkeypatch.setattr(montecarlo, "run_campaign", no_campaign)
+        result = invoke("simulate", "--bins", 0, "--out", tmp_path / "o")
+        assert result.exit_code == 2
+        assert "n_bins must be >= 1" in result.stderr
+
+    def test_all_flagged_campaign_keeps_trials_csv(self, tmp_path, monkeypatch):
+        flagged = [TrialResult(s, np.nan, np.nan, np.nan, flag=f"NonMonotonic: {s}")
+                   for s in (0, 1)]
+        monkeypatch.setattr(montecarlo, "run_campaign", lambda *args: flagged)
+        out = tmp_path / "o"
+        result = invoke("simulate", "--trials", 2, "--out", out)
+        assert result.exit_code == 1
+        assert "no unflagged trials" in result.stderr
+        assert (out / "trials.csv").read_text() == (
+            TRIALS_HEAD + "0,nan,nan,nan,NonMonotonic: 0\n1,nan,nan,nan,NonMonotonic: 1\n"
+        )
+        assert not (out / "summary.json").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -504,7 +526,7 @@ class TestEvaluate:
         model = self.lut_model_file(tmp_path / "m.json")
         result = invoke("evaluate", "--model", model, "--truth", truth_path)
         assert result.exit_code == 2
-        assert "cannot read truth" in result.stderr
+        assert "not a valid truth file" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
 
@@ -565,6 +587,11 @@ def _write(path, text):
 def _undecodable(path):
     path.write_bytes(b"\xff\xfex,y\n")
     return path
+
+
+def _nested(path):
+    """A JSON document nested past the interpreter's recursion limit."""
+    return _write(path, "[" * 100_000 + "]" * 100_000)
 
 
 def _edited_file(src, dst, path, value):
@@ -683,6 +710,16 @@ BAD_INPUT = {
     "undecodable --trials": lambda g, t: (
         ["summarize", "--trials", _undecodable(t / "t.csv"), "--out", t / "s.json"],
         ""),
+    # JSON nested past the recursion limit does not parse.
+    "deeply nested --model": lambda g, t: (
+        ["predict", "--model", _nested(t / "m.json"), "--input", g / "in.csv",
+         "--out", t / "o.csv"], t / "m.json"),
+    "deeply nested --truth": lambda g, t: (
+        ["evaluate", "--model", g / "lut.json", "--truth", _nested(t / "t.json")],
+        t / "t.json"),
+    "deeply nested --config": lambda g, t: (
+        ["calibrate", "--config", _nested(t / "c.json"), "--d1", g / "d1.csv",
+         "--d2", g / "d2.csv", "--model", t / "m.json"], t / "c.json"),
     # Model and truth files decode by the --config rule: no bool from a
     # string, no int from 2.7, and no non-finite float.
     "string bool in model": lambda g, t: _predict_edited(

@@ -60,6 +60,12 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet(np.zeros(2), np.zeros(2), cov)
 
+    def test_cov_asymmetric_within_tolerance_stored_symmetric(self):
+        cov = np.array([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
+        ts = TrainingSet(np.zeros(2), np.zeros(2), cov)
+        np.testing.assert_array_equal(ts.target_cov, ts.target_cov.T)
+        assert ts.target_cov[0, 1] == 0.5 * (0.5 + (0.5 + 1e-12))
+
     def test_indefinite_cov_rejected(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):

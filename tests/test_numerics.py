@@ -39,9 +39,13 @@ class TestFactorPsd:
         with pytest.raises(NotPositiveDefinite):
             factor_psd(a, max_jitter=1e-6)
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            factor_psd(np.array([[1.0, 0.5], [0.0, 1.0]]), max_jitter=1e-6)
+    def test_reads_only_lower_triangle(self, rng):
+        a = random_spd(rng, 5)
+        upper_garbage = a + np.triu(rng.normal(size=(5, 5)), k=1)
+        np.testing.assert_array_equal(
+            factor_psd(upper_garbage, max_jitter=0.0).lower_triangular,
+            factor_psd(a, max_jitter=0.0).lower_triangular,
+        )
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
