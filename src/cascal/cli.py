@@ -4,67 +4,43 @@ Every command is deterministic given its flags, input files, and --seed;
 nothing is ever derived from the clock.  Values come from built-in
 defaults, overridden by a flat JSON config file (--config), overridden by
 command-line flags, in that order.
+
+``build_config`` builds the ``RunConfig``, which checks every value
+(``TrialConfig`` a trial's, ``RunConfig`` the campaign's), so a bad value
+exits 2 before a command reads or writes any file.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import Record, finite, read_json, read_table, write_table
-from .cascade import CascadeConfig, CascadeModel
+from ._record import finite, read_json, read_table, write_table
+from .cascade import CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError
-from .gp import OptimizerConfig
 from .montecarlo import TrialConfig
 
 
 @dataclass(frozen=True)
-class RunConfig(Record):
-    """Tunable values with their defaults.
+class RunConfig(TrialConfig):
+    """A campaign: its trials' settings, size, base seed, workers and bins."""
 
-    Simulation, optimizer and lookup-table defaults are those of
-    TrialConfig and OptimizerConfig; the rest (campaign size, seed,
-    parallelism, histogram bins) exist only here.
-    """
-
-    n_terms: int = TrialConfig.n_terms
-    coeff_var: float = TrialConfig.coeff_var
-    freq_var: float = TrialConfig.freq_var
-    noise_var: float = TrialConfig.noise_var
-    n_grid: int = TrialConfig.n_grid
-    edge_remove: int = TrialConfig.edge_remove
-    center_remove: int = TrialConfig.center_remove
-    n1: int = TrialConfig.n1
-    n_quad: int = TrialConfig.n_quad
-    n_bins: int = montecarlo.N_BINS
     trials: int = 200
     seed: int = 0
     parallel: int = 1
-    strict_paper: bool = not CascadeConfig.stage2_learned_noise
-    opt_max_iters: int = OptimizerConfig.max_iters
-    opt_rel_tol: float = OptimizerConfig.rel_tol
-    lut_extrapolation: str = TrialConfig.lut_extrapolation
+    n_bins: int = montecarlo.N_BINS
 
-    def cascade_config(self) -> CascadeConfig:
-        return CascadeConfig(
-            optimizer=OptimizerConfig(
-                max_iters=self.opt_max_iters, rel_tol=self.opt_rel_tol
-            ),
-            stage2_learned_noise=not self.strict_paper,
-        )
-
-    def trial_config(self) -> TrialConfig:
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in fields(TrialConfig)
-            if f.name != "cascade"
-        }
-        return TrialConfig(cascade=self.cascade_config(), **shared)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        montecarlo.check_campaign(self.trials, self.seed)
+        montecarlo.check_n_bins(self.n_bins)
+        if self.parallel < 1:
+            raise ConfigError(f"parallel must be >= 1, got {self.parallel}")
 
 
 def _config_from_doc(doc) -> RunConfig:
@@ -82,14 +58,7 @@ def build_config(config_path: str | None, **overrides) -> RunConfig:
     cfg = RunConfig()
     if config_path:
         cfg = read_json(config_path, "config file", _config_from_doc)
-    given = {k: v for k, v in overrides.items() if v is not None}
-    if given:
-        cfg = replace(cfg, **given)
-    if cfg.lut_extrapolation not in lut.EXTRAPOLATION_MODES:
-        raise ConfigError(
-            f"lut_extrapolation must be one of {lut.EXTRAPOLATION_MODES}"
-        )
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _exit(code: int, error: Exception) -> click.ClickException:
@@ -191,15 +160,12 @@ FULL_SCALE_TRIALS = 12000
 def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
              **values) -> None:
     """Run a benchmark campaign and write trials.csv plus summary.json."""
-    cfg = build_config(config_path, strict_paper=strict_paper, **values)
     if full_scale:
-        cfg = replace(cfg, trials=FULL_SCALE_TRIALS)
-    montecarlo.check_n_bins(cfg.n_bins)
+        values["trials"] = FULL_SCALE_TRIALS
+    cfg = build_config(config_path, strict_paper=strict_paper, **values)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = montecarlo.run_campaign(
-        cfg.trials, cfg.seed, cfg.trial_config(), cfg.parallel
-    )
+    results = montecarlo.run_campaign(cfg.trials, cfg.seed, cfg, cfg.parallel)
     # trials.csv first: its flags explain an all-flagged campaign.
     montecarlo.write_trials_csv(results, out / "trials.csv")
     summary = montecarlo.summarize(results, cfg.n_bins)
@@ -242,9 +208,9 @@ def calibrate(d1_path, d2_path, method, model_path, config_path, strict_paper) -
     if method == "lut":
         model = lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation)
     elif method == "bayesian":
-        model = cascade.calibrate_cascaded(d1, d2, cfg.cascade_config())
+        model = cascade.calibrate_cascaded(d1, d2, cfg.cascade)
     else:
-        model = cascade.calibrate_alternative1(d1, d2, cfg.cascade_config())
+        model = cascade.calibrate_alternative1(d1, d2, cfg.cascade)
     cascade.save_model(model, model_path)
     click.echo(f"wrote {model_path}")
 

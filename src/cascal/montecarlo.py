@@ -5,6 +5,10 @@ pair of calibration datasets, runs the covariance-propagating method, the
 diagonal-covariance variant, and the lookup-table baseline on identical
 data, and scores each with the simulation cost oracle.  Campaigns are pure
 functions of (base seed, trial count, config), regardless of parallelism.
+
+Building a ``TrialConfig`` checks its lookup-table mode and optimizer
+settings; ``check_campaign`` checks a trial count and base seed, and
+``check_n_bins`` a bin count.  The ``sim`` functions check problem sizes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import cascade, lut, sim
 from ._record import Record, integer, number, read_table, write_json, write_table
 from .cascade import CascadeConfig
 from .errors import CascalError, ConfigError, DatasetFormatError, EmptyCampaign
+from .gp import OptimizerConfig
 from .kernels import Hyperparameters
 
 METHODS = ("bayes", "alt1", "alt2")
@@ -29,8 +34,9 @@ N_BINS = 60
 
 
 @dataclass(frozen=True)
-class TrialConfig:
-    """Everything one trial needs besides its seed."""
+class TrialConfig(Record):
+    """Everything one trial needs besides its seed; ``cascade`` builds from
+    it the config of both calibration stages."""
 
     n_terms: int = 10
     coeff_var: float = 1e-4
@@ -41,8 +47,27 @@ class TrialConfig:
     center_remove: int = 20
     n1: int = 100
     n_quad: int = 2001
-    cascade: CascadeConfig = CascadeConfig()
     lut_extrapolation: str = "slope"
+    strict_paper: bool = not CascadeConfig.stage2_learned_noise
+    opt_max_iters: int = OptimizerConfig.max_iters
+    opt_rel_tol: float = OptimizerConfig.rel_tol
+
+    def __post_init__(self) -> None:
+        if self.lut_extrapolation not in lut.EXTRAPOLATION_MODES:
+            raise ConfigError(
+                f"lut_extrapolation must be one of {lut.EXTRAPOLATION_MODES}"
+            )
+        if self.opt_max_iters < 1:
+            raise ConfigError(f"opt_max_iters must be >= 1, got {self.opt_max_iters}")
+        if not self.opt_rel_tol >= 0.0:
+            raise ConfigError(f"opt_rel_tol must be >= 0, got {self.opt_rel_tol}")
+
+    @property
+    def cascade(self) -> CascadeConfig:
+        return CascadeConfig(
+            OptimizerConfig(max_iters=self.opt_max_iters, rel_tol=self.opt_rel_tol),
+            stage2_learned_noise=not self.strict_paper,
+        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +150,13 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     )
 
 
+def check_campaign(n_trials: int, base_seed: int) -> None:
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if base_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {base_seed}")
+
+
 def run_campaign(
     n_trials: int,
     base_seed: int,
@@ -136,10 +168,7 @@ def run_campaign(
     Results are returned in seed order and are identical for any
     ``max_parallel``.
     """
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if base_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {base_seed}")
+    check_campaign(n_trials, base_seed)
     seeds = range(base_seed, base_seed + n_trials)
     if max_parallel <= 1:
         return [run_trial(s, cfg) for s in seeds]

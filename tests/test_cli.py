@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from cascal import cascade, lut, montecarlo, sim
+from cascal.cascade import CascadeConfig
 from cascal.cli import RunConfig, main
 from cascal.montecarlo import TrialConfig, TrialResult
 
@@ -134,6 +135,29 @@ class TestSimulate:
         result = invoke("simulate", "--bins", 0, "--out", tmp_path / "o")
         assert result.exit_code == 2
         assert "n_bins must be >= 1" in result.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", 0, "n_trials must be >= 1"), ("--seed", -1, "seed must be >= 0"),
+    ])
+    def test_bad_campaign_exits_2_before_making_out(self, tmp_path, flag, value,
+                                                     message):
+        result = invoke("simulate", flag, value, "--out", tmp_path / "d")
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert not (tmp_path / "d").exists()
+
+    def test_full_scale_overrides_trials(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def campaign(n_trials, *args):
+            sizes.append(n_trials)
+            return [TrialResult(0, 1e-4, 2e-4, 3e-4)]
+
+        monkeypatch.setattr(montecarlo, "run_campaign", campaign)
+        result = invoke("simulate", "--full-scale", "--trials", 0,
+                        "--out", tmp_path / "o")
+        assert result.exit_code == 0, result.output
+        assert sizes == [12000]
 
     def test_all_flagged_campaign_keeps_trials_csv(self, tmp_path, monkeypatch):
         flagged = [TrialResult(s, np.nan, np.nan, np.nan, flag=f"NonMonotonic: {s}")
@@ -262,8 +286,8 @@ class TestRunConfigDefaults:
             "lut_extrapolation": "slope",
         }
 
-    def test_defaults_build_default_trial_config(self):
-        assert RunConfig().trial_config() == TrialConfig()
+    def test_defaults_build_default_cascade_config(self):
+        assert RunConfig().cascade == TrialConfig().cascade == CascadeConfig()
 
 
 class TestCalibrate:
@@ -573,6 +597,36 @@ class TestValueChecks:
         assert result.exit_code == 2
         assert next(iter(bad)) in result.stderr
         assert not (tmp_path / "o" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad", [{"opt_max_iters": 0}, {"opt_max_iters": -1}, {"opt_rel_tol": -1.0},
+                {"parallel": 0}, {"parallel": -3}],
+        ids=["zero-iters", "negative-iters", "negative-tol", "zero-parallel",
+             "negative-parallel"],
+    )
+    def test_out_of_range_run_value_exits_2_before_any_trial(
+        self, tmp_path, monkeypatch, bad
+    ):
+        monkeypatch.setattr(montecarlo, "run_campaign", self.no_campaign)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, **bad}))
+        result = invoke("simulate", "--trials", 2, "--out", tmp_path / "o",
+                        "--config", cfg)
+        assert result.exit_code == 2
+        assert f"{next(iter(bad))} must be >=" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_parallel_flag_exits_2_before_any_trial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_campaign", self.no_campaign)
+        result = invoke("simulate", "--trials", 2, "--parallel", 0,
+                        "--out", tmp_path / "o")
+        assert result.exit_code == 2
+        assert "parallel must be >= 1" in result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def no_campaign(*args):
+        pytest.fail("simulate ran trials with an out-of-range value")
 
 
 TRIALS_HEAD = "seed,j_bayes,j_alt1,j_alt2,flag\n"

@@ -149,6 +149,22 @@ class TestTrialConfigDefaults:
         assert cfg.n_quad == self.default(sim.cost_j, "n_quad")
 
 
+class TestTrialConfigChecks:
+    @pytest.mark.parametrize("bad", [
+        {"lut_extrapolation": "bogus"}, {"opt_max_iters": 0}, {"opt_rel_tol": -1.0},
+        {"opt_rel_tol": float("nan")},
+    ])
+    def test_out_of_range_value_raises_config_error(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrialConfig(**bad)
+
+    def test_cascade_carries_run_settings(self):
+        cfg = TrialConfig(strict_paper=True, opt_max_iters=7, opt_rel_tol=1e-3)
+        assert not cfg.cascade.stage2_learned_noise
+        assert cfg.cascade.optimizer.max_iters == 7
+        assert cfg.cascade.optimizer.rel_tol == 1e-3
+
+
 class TestSummarize:
     def test_single_trial_degenerate_histogram(self):
         results = fake_results(
