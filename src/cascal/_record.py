@@ -2,10 +2,11 @@
 
 A :class:`Record` maps its fields by name and converts each value by the
 field's annotation: arrays and tuples are lists of floats, and nested
-records and ``dict[str, T]`` are objects.  Decoding is strict, so a file
-loads with exactly the values it holds: a bool or str only from its own
-JSON type, a number never from a bool, an int only from an integral number
-and every float finite, array entries too.  A failure names the field.
+records and ``dict[str, T]`` (written, never read back) are objects.
+Decoding is strict, so a file loads with exactly the values it holds: a
+bool or str only from its own JSON type, a number never from a bool, an
+int only from an integral number and every float finite, array entries
+too.  A failure names the field.
 
 Every JSON file read (model, truth, config) goes through :func:`read_json`,
 and any failure to parse or decode one, deep nesting included, names the
@@ -65,9 +66,6 @@ def float_array(name, value, ndim: int = 1) -> np.ndarray:
 
 
 def _from_json(name, hint, value):
-    if typing.get_origin(hint) is dict:
-        value_hint = typing.get_args(hint)[1]
-        return {k: _from_json(name, value_hint, v) for k, v in value.items()}
     if isinstance(hint, type) and issubclass(hint, Record):
         return hint.from_dict(value)
     if hint in (np.ndarray, tuple):

@@ -6,8 +6,9 @@ defaults, overridden by a flat JSON config file (--config), overridden by
 command-line flags, in that order.
 
 ``build_config`` builds the ``RunConfig``, which checks every value
-(``TrialConfig`` a trial's, ``RunConfig`` the campaign's), so a bad value
-exits 2 before a command reads or writes any file.
+(``sim.Problem`` the simulated problem's sizes, ``TrialConfig`` the rest of
+a trial's, ``RunConfig`` the campaign's), so a bad value exits 2 before a
+command reads or writes any file.
 """
 
 from __future__ import annotations

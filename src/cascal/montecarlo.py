@@ -6,9 +6,10 @@ diagonal-covariance variant, and the lookup-table baseline on identical
 data, and scores each with the simulation cost oracle.  Campaigns are pure
 functions of (base seed, trial count, config), regardless of parallelism.
 
-Building a ``TrialConfig`` checks its lookup-table mode and optimizer
-settings; ``check_campaign`` checks a trial count and base seed, and
-``check_n_bins`` a bin count.  The ``sim`` functions check problem sizes.
+Building a ``TrialConfig`` checks every trial setting: the problem sizes
+(as ``sim.Problem``), the lookup-table mode and the optimizer settings, so
+no config fault can arise inside a trial.  ``check_campaign`` checks a
+trial count and base seed, and ``check_n_bins`` a bin count.
 """
 
 from __future__ import annotations
@@ -34,25 +35,18 @@ N_BINS = 60
 
 
 @dataclass(frozen=True)
-class TrialConfig(Record):
-    """Everything one trial needs besides its seed; ``cascade`` builds from
-    it the config of both calibration stages."""
+class TrialConfig(sim.Problem):
+    """Everything one trial needs besides its seed: the simulated problem's
+    sizes, and the settings from which ``cascade`` builds the config of both
+    calibration stages."""
 
-    n_terms: int = 10
-    coeff_var: float = 1e-4
-    freq_var: float = 6.0
-    noise_var: float = 1e-8
-    n_grid: int = 100
-    edge_remove: int = 8
-    center_remove: int = 20
-    n1: int = 100
-    n_quad: int = 2001
     lut_extrapolation: str = "slope"
     strict_paper: bool = not CascadeConfig.stage2_learned_noise
     opt_max_iters: int = OptimizerConfig.max_iters
     opt_rel_tol: float = OptimizerConfig.rel_tol
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.lut_extrapolation not in lut.EXTRAPOLATION_MODES:
             raise ConfigError(
                 f"lut_extrapolation must be one of {lut.EXTRAPOLATION_MODES}"
@@ -113,11 +107,7 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     rejected, d1, d2, hp1, hp2, flag = 0, None, None, None, None, None
     try:
         pair, rejected = sim.sample_truth_pair(
-            seed,
-            n_terms=cfg.n_terms,
-            coeff_var=cfg.coeff_var,
-            freq_var=cfg.freq_var,
-            noise_variance=cfg.noise_var,
+            seed, cfg.n_terms, cfg.coeff_var, cfg.freq_var, cfg.noise_var
         )
         d1 = sim.generate_d1(pair, cfg.n1, sim.substream(seed, 1))
         d2 = sim.generate_d2(
@@ -131,8 +121,6 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         }
         costs = {m: sim.cost_j(models[m].apply, pair, cfg.n_quad) for m in METHODS}
         hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
-    except ConfigError:
-        raise
     except (CascalError, ValueError) as exc:
         flag = f"{type(exc).__name__}: {exc}"
 

@@ -6,6 +6,10 @@ correction map is only available here, by numerically inverting the
 noiseless response (safeguarded Newton inside a bracketing grid cell),
 which is what makes the accuracy cost computable in simulation while it
 never is on hardware.
+
+``Problem`` is the one home of the simulated problem's sizes and their
+rules: ``sample_truth``, ``generate_d1``, ``generate_d2`` and ``cost_j``
+take their defaults from it and check their arguments by building one.
 """
 
 from __future__ import annotations
@@ -82,12 +86,44 @@ class TruthPair(Record):
             raise ValueError(f"range must be well-ordered, got {self.range}")
 
 
+@dataclass(frozen=True)
+class Problem(Record):
+    """The sizes of one simulated problem; building one checks them."""
+
+    n_terms: int = 10
+    coeff_var: float = 1e-4
+    freq_var: float = 6.0
+    noise_var: float = 1e-8
+    n_grid: int = 100
+    edge_remove: int = 8
+    center_remove: int = 20
+    n1: int = 100
+    n_quad: int = 2001
+
+    def __post_init__(self) -> None:
+        for name in ("n_terms", "coeff_var", "freq_var", "noise_var"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name, least in (("n_grid", 4), ("n1", 2), ("n_quad", 2),
+                            ("edge_remove", 0), ("center_remove", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        # At least 2 kept points also puts the center gap inside the edges.
+        n, edge, center = self.n_grid, self.edge_remove, self.center_remove
+        kept = n - 2 * edge - center
+        if kept < 2:
+            raise ConfigError(f"edge_remove {edge} and center_remove {center} leave "
+                              f"{kept} of n_grid {n} points; need at least 2")
+
+
 def sample_truth(
     rng_seed,
-    n_terms: int = 10,
-    coeff_var: float = 1e-4,
-    freq_var: float = 6.0,
-    noise_variance: float = 1e-8,
+    n_terms: int = Problem.n_terms,
+    coeff_var: float = Problem.coeff_var,
+    freq_var: float = Problem.freq_var,
+    noise_variance: float = Problem.noise_var,
 ) -> SensorTruth:
     """Draw one random sensor truth.
 
@@ -95,10 +131,8 @@ def sample_truth(
     Normal(0, freq_var) — both arguments are variances.  ``rng_seed`` may
     be an integer seed or a Generator.
     """
-    for name, value in (("n_terms", n_terms), ("coeff_var", coeff_var),
-                        ("freq_var", freq_var), ("noise_variance", noise_variance)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    Problem(n_terms=n_terms, coeff_var=coeff_var, freq_var=freq_var,
+            noise_var=noise_variance)
     rng = np.random.default_rng(rng_seed)
     return SensorTruth(
         sin_coeffs=rng.normal(0.0, math.sqrt(coeff_var), n_terms),
@@ -206,10 +240,10 @@ def invert_sensor(
 
 def sample_truth_pair(
     seed: int,
-    n_terms: int = 10,
-    coeff_var: float = 1e-4,
-    freq_var: float = 6.0,
-    noise_variance: float = 1e-8,
+    n_terms: int = Problem.n_terms,
+    coeff_var: float = Problem.coeff_var,
+    freq_var: float = Problem.freq_var,
+    noise_variance: float = Problem.noise_var,
     rng_range: tuple = (0.0, 1.0),
 ) -> tuple:
     """Draw a truth pair, redrawing until both sensors are invertible.
@@ -230,9 +264,9 @@ def sample_truth_pair(
 
 def generate_d2(
     pair: TruthPair,
-    n_grid: int = 100,
-    edge_remove: int = 8,
-    center_remove: int = 20,
+    n_grid: int = Problem.n_grid,
+    edge_remove: int = Problem.edge_remove,
+    center_remove: int = Problem.center_remove,
     rng: np.random.Generator | None = None,
 ) -> CalibrationDataset:
     """Test-bed vs reference dataset on a gappy position grid.
@@ -242,18 +276,8 @@ def generate_d2(
     end and ``center_remove`` consecutive points from the middle, modelling
     positions the reference instrument cannot reach.
     """
-    if n_grid < 4:
-        raise ConfigError(f"n_grid must be >= 4, got {n_grid}")
-    if edge_remove < 0 or center_remove < 0:
-        raise ConfigError("removal counts must be nonnegative")
+    Problem(n_grid=n_grid, edge_remove=edge_remove, center_remove=center_remove)
     center_start = (n_grid - center_remove) // 2
-    kept = n_grid - 2 * edge_remove - center_remove
-    if kept < 2:
-        raise ConfigError(
-            f"removals leave {kept} of {n_grid} points; need at least 2"
-        )
-    if center_start < edge_remove or center_start + center_remove > n_grid - edge_remove:
-        raise ConfigError("center removal overlaps the edge removals")
     rng = np.random.default_rng(rng)
 
     lo, hi = pair.range
@@ -283,7 +307,7 @@ def _device_grid(pair: TruthPair, n: int) -> np.ndarray:
 
 def generate_d1(
     pair: TruthPair,
-    n1: int = 100,
+    n1: int = Problem.n1,
     rng: np.random.Generator | None = None,
 ) -> CalibrationDataset:
     """Device vs test-bed dataset on an equally spaced device-reading grid.
@@ -292,8 +316,7 @@ def generate_d1(
     range; true positions are recovered by inversion, then read by the
     test-bed sensor.  The recorded device readings carry their own noise.
     """
-    if n1 < 2:
-        raise ConfigError(f"n1 must be >= 2, got {n1}")
+    Problem(n1=n1)
     rng = np.random.default_rng(rng)
     y1_grid = _device_grid(pair, n1)
     y_star = invert_sensor(pair.sensor1, y1_grid, rng_range=pair.range)
@@ -307,15 +330,14 @@ def true_f13(pair: TruthPair, y1):
     return invert_sensor(pair.sensor1, y1, rng_range=pair.range)
 
 
-def cost_j(model_apply, pair: TruthPair, n_quad: int = 2001) -> float:
+def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad) -> float:
     """Normalized root-integrated-squared error of a calibration map.
 
     Evaluates the map against the ground-truth correction on an equally
     spaced grid over the device sensor's noiseless reading range and
     integrates with the composite trapezoid rule.
     """
-    if n_quad < 2:
-        raise ConfigError(f"n_quad must be >= 2, got {n_quad}")
+    Problem(n_quad=n_quad)
     grid = _device_grid(pair, n_quad)
     y1_lo, y1_hi = grid[0], grid[-1]
     if not y1_lo < y1_hi:

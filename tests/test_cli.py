@@ -138,6 +138,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", 0, "n_trials must be >= 1"), ("--seed", -1, "seed must be >= 0"),
+        ("--n-quad", 1, "n_quad must be >= 2"), ("--edge-remove", 60, "edge_remove"),
+        ("--coeff-var", "nan", "coeff_var must be finite"), ("--n1", 1, "n1 must be >= 2"),
     ])
     def test_bad_campaign_exits_2_before_making_out(self, tmp_path, flag, value,
                                                      message):

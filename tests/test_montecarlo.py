@@ -152,7 +152,9 @@ class TestTrialConfigDefaults:
 class TestTrialConfigChecks:
     @pytest.mark.parametrize("bad", [
         {"lut_extrapolation": "bogus"}, {"opt_max_iters": 0}, {"opt_rel_tol": -1.0},
-        {"opt_rel_tol": float("nan")},
+        {"opt_rel_tol": float("nan")}, {"n_terms": -1}, {"coeff_var": float("nan")},
+        {"noise_var": -1.0}, {"n_grid": 3}, {"n1": 1}, {"n_quad": 1},
+        {"edge_remove": 60}, {"center_remove": -1},
     ])
     def test_out_of_range_value_raises_config_error(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
