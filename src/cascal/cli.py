@@ -9,15 +9,26 @@ command-line flags, in that order.
 (``sim.Problem`` the simulated problem's sizes, ``TrialConfig`` the rest of
 a trial's, ``RunConfig`` the campaign's), so a bad value exits 2 before a
 command reads or writes any file.
+
+The command runs on one BLAS thread unless the environment sets another
+count: the Gram matrices are small, so threads cost time, and a different
+count changes the last bits of the results.  The variables are set before
+numpy loads, and ``--parallel``'s workers inherit them.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
+
+# Before numpy loads: the BLAS reads its thread count once, when it loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.lapack import dpotrs
 
 from ._record import Record, float_array
 from .errors import CascalError, OptimizationFailed
@@ -45,7 +46,7 @@ SYMMETRY_TOL = 1e-9
 
 
 def _gram_max_jitter(k: np.ndarray) -> float:
-    diag_max = float(np.max(np.diag(k))) if k.size else 0.0
+    diag_max = float(k.diagonal().max()) if k.size else 0.0
     return MAX_JITTER_FRACTION * max(diag_max, 1e-30)
 
 
@@ -169,15 +170,20 @@ def _condition(
     jitter the factorization needed held fixed.  target_cov does not
     depend on the hyperparameters, so it drops out of the derivatives.
     """
+    n = ts.n
     k = kernel_matrix(ts.inputs, ts.inputs, hp)
     # k and target_cov are exactly symmetric, so gram is, as factor_psd needs.
-    gram = k + ts.target_cov + hp.noise_variance * np.eye(ts.n)
+    gram = k + ts.target_cov
+    gram.flat[:: n + 1] += hp.noise_variance
     factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
     residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    alpha = solve_psd(factor, residual)
-    lml = float(
-        -0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * ts.n * LOG_2PI
-    )
+    # solve_psd's check and solve; TrainingSet makes its shape checks, and
+    # an empty set's alpha is its empty residual (dpotrs rejects 0 x 0).
+    lower = factor.lower_triangular
+    if not (np.isfinite(lower.diagonal()).all() and np.isfinite(residual).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    alpha = dpotrs(lower, residual, lower=1)[0] if n else residual
+    lml = float(-0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * n * LOG_2PI)
     grad = None
     if with_grad:
         # inverse_psd fills only the lower triangle of Kt^-1.  Kt^-1 is
@@ -185,14 +191,14 @@ def _condition(
         # lower triangle's minus the diagonal's: k's diagonal is the signal
         # variance and k * sq's is zero.
         kinv = inverse_psd(factor)
-        trace_kinv = np.trace(kinv)
+        trace_kinv = kinv.trace()
         scaled_sq = np.square(
             (ts.inputs[:, None] - ts.inputs[None, :]) / hp.length_scale
         )
         k_sq = k * scaled_sq
         grad = 0.5 * np.array([
-            alpha @ k_sq @ alpha - 2.0 * np.sum(kinv * k_sq),
-            alpha @ k @ alpha - 2.0 * np.sum(kinv * k)
+            alpha @ k_sq @ alpha - 2.0 * (kinv * k_sq).sum(),
+            alpha @ k @ alpha - 2.0 * (kinv * k).sum()
             + hp.signal_variance * trace_kinv,
             hp.noise_variance * (alpha @ alpha - trace_kinv),
         ])
@@ -368,7 +374,7 @@ def optimize_hyperparameters(
         except _NUMERICAL_ERRORS:
             return np.inf, np.zeros_like(x)
         grad = c.grad[: x.size]
-        if not (np.isfinite(c.lml) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(c.lml) and np.isfinite(grad).all()):
             return np.inf, np.zeros_like(x)
         return -c.lml, -grad
 
@@ -392,7 +398,7 @@ def optimize_hyperparameters(
         scale = max(1.0, abs(f0))
 
         def scaled(x: np.ndarray) -> tuple[float, np.ndarray]:
-            f, g = (f0, g0) if np.array_equal(x, x0) else objective(x)
+            f, g = (f0, g0) if (x == x0).all() else objective(x)
             return f / scale, g / scale
 
         result = scipy.optimize.minimize(

@@ -119,7 +119,11 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
             "alt1": cascade.calibrate_alternative1(d1, d2, cfg.cascade, stage_one=stage_one),
             "alt2": lut.calibrate_lut_cascade(d1, d2, cfg.lut_extrapolation),
         }
-        costs = {m: sim.cost_j(models[m].apply, pair, cfg.n_quad) for m in METHODS}
+
+        def stacked(grid):  # one truth inversion scores all three maps
+            return np.stack([models[m].apply(grid) for m in METHODS])
+
+        costs = dict(zip(METHODS, sim.cost_j(stacked, pair, cfg.n_quad).tolist()))
         hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
     except (CascalError, ValueError) as exc:
         flag = f"{type(exc).__name__}: {exc}"

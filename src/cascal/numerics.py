@@ -3,7 +3,9 @@
 Every Gram-matrix factorization, solve, inverse and log-determinant in the
 toolkit goes through this module, so the stabilization policy (escalating
 diagonal jitter) lives in exactly one place.  The factor, the solve and the
-inverse call LAPACK's dpotrf, dpotrs and dpotri directly.
+inverse call LAPACK's dpotrf, dpotrs and dpotri directly.  The one solve
+made elsewhere is the evidence's, in ``gp._condition``: it calls dpotrs on
+a factor from here, behind the same finiteness check as :func:`solve_psd`.
 """
 
 from __future__ import annotations
@@ -79,18 +81,20 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     if n == 0:
         return PsdFactor(lower_triangular=np.zeros((0, 0)), jitter_used=0.0)
 
-    diag_max = float(np.max(np.diag(a)))
-    base = 1e-12 * diag_max if diag_max > 0 else 1e-12
+    lower, info = dpotrf(a, lower=1)
+    if info == 0:
+        return PsdFactor(lower_triangular=lower, jitter_used=0.0)
 
+    diag_max = float(a.diagonal().max())
+    base = 1e-12 * diag_max if diag_max > 0 else 1e-12
     jitter = 0.0
-    for attempt in range(MAX_JITTER_RETRIES + 1):
-        lower, info = dpotrf(a + jitter * np.eye(n) if jitter else a, lower=1)
-        if info == 0:
-            return PsdFactor(lower_triangular=lower, jitter_used=jitter)
+    for attempt in range(MAX_JITTER_RETRIES):
         if jitter >= max_jitter:
             break
-        nxt = base * JITTER_GROWTH**attempt
-        jitter = min(nxt, max_jitter)
+        jitter = min(base * JITTER_GROWTH**attempt, max_jitter)
+        lower, info = dpotrf(a + jitter * np.eye(n), lower=1)
+        if info == 0:
+            return PsdFactor(lower_triangular=lower, jitter_used=jitter)
     raise NotPositiveDefinite(
         f"factorization failed for {n}x{n} matrix at jitter {max_jitter:.3e}"
     )
@@ -146,7 +150,5 @@ def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
 
 
 def log_det(f: PsdFactor) -> float:
-    """Log-determinant of the factored (jittered) matrix."""
-    if f.n == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(f.lower_triangular))))
+    """Log-determinant of the factored (jittered) matrix; 0.0 when empty."""
+    return 2.0 * float(np.log(f.lower_triangular.diagonal()).sum())

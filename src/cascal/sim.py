@@ -330,12 +330,14 @@ def true_f13(pair: TruthPair, y1):
     return invert_sensor(pair.sensor1, y1, rng_range=pair.range)
 
 
-def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad) -> float:
+def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad):
     """Normalized root-integrated-squared error of a calibration map.
 
     Evaluates the map against the ground-truth correction on an equally
     spaced grid over the device sensor's noiseless reading range and
-    integrates with the composite trapezoid rule.
+    integrates with the composite trapezoid rule.  A map that returns a
+    stacked ``(k, n_quad)`` array scores k maps against one inversion of
+    the truth, and the result is the array of their k costs.
     """
     Problem(n_quad=n_quad)
     grid = _device_grid(pair, n_quad)
@@ -343,8 +345,8 @@ def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad) -> float:
     if not y1_lo < y1_hi:
         raise NonMonotonic("device sensor range collapsed; cannot evaluate cost")
     err = np.asarray(model_apply(grid), dtype=float) - true_f13(pair, grid)
-    mean_sq = np.trapezoid(err * err, grid) / (y1_hi - y1_lo)
-    return float(math.sqrt(mean_sq))
+    cost = np.sqrt(np.trapezoid(err * err, grid, axis=-1) / (y1_hi - y1_lo))
+    return cost if cost.ndim else float(cost)
 
 
 def save_truth_pair(pair: TruthPair, path) -> None:

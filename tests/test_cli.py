@@ -2,6 +2,10 @@ import copy
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from cascal.cli import RunConfig, main
 from cascal.montecarlo import TrialConfig, TrialResult
 
 runner = CliRunner()
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # small problem sizes for fast CLI round trips
 SMALL_CONFIG = {
@@ -675,6 +681,20 @@ def _evaluate_edited_truth(g, t, path, value):
             "--n-quad", 11], edited
 
 
+def _huge_variance_model(path):
+    """The golden bayes model with its stage-two variances at 1.7e308.
+
+    Every value is finite, but the stage-two Gram matrix is not, so its
+    factor is not either.
+    """
+    doc = json.loads((GOLDEN / "model_bayes.json").read_text())
+    stage_two = doc["stage_two"]
+    stage_two["hyperparameters"]["signal_variance"] = 1.7e308
+    for i, row in enumerate(stage_two["target_cov"]):
+        row[i] = 1.7e308
+    return _write(path, json.dumps(doc))
+
+
 @pytest.fixture(scope="module")
 def good_files(identity_files, identity_model):
     """identity_files plus a readings CSV, a LUT model, a truth and a trials.csv."""
@@ -803,6 +823,10 @@ BAD_INPUT = {
         g, t, "model.json", ("stage_two", "train_targets", 1), True),
     "huge int truth frequency": lambda g, t: _evaluate_edited_truth(
         g, t, ("sensor1", "freqs", 0), 10**400),
+    # Finite values whose Gram matrix is not: no answer is read off its factor.
+    "huge variances in model": lambda g, t: (
+        ["predict", "--model", _huge_variance_model(t / "m.json"),
+         "--input", g / "in.csv", "--out", t / "o.csv"], t / "m.json"),
 }
 
 
@@ -974,3 +998,37 @@ class TestLoaderFuzzing:
         g, t, run = fuzz
         run(text, "evaluate", "--config", None, "--model", g / "lut.json",
             "--truth", g / "truth.json", "--n-quad", 11)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(code, **env):
+    """Output words of ``code`` run by a new interpreter, BLAS variables unset."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    src = str(Path(__file__).parents[1] / "src")
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True, timeout=120)
+    return done.stdout.split()
+
+
+class TestBlasThreads:
+    """The command pins one BLAS thread before numpy loads; a set value wins."""
+
+    READ = f"import os, cascal.cli; print(*(os.environ[v] for v in {BLAS_VARIABLES}))"
+
+    def test_import_cascal_loads_no_numpy(self):
+        code = "import sys, cascal; print('numpy' in sys.modules, cascal.__version__)"
+        assert _fresh_python(code) == ["False", "0.1.0"]
+
+    def test_exports_load_on_first_use(self):
+        code = ("import cascal; "
+                "print(cascal.fit is cascal.gp.fit, hasattr(cascal, 'nope'))")
+        assert _fresh_python(code) == ["True", "False"]
+
+    def test_command_pins_one_thread(self):
+        assert _fresh_python(self.READ) == ["1", "1", "1"]
+
+    def test_user_setting_wins(self):
+        assert _fresh_python(self.READ, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]

@@ -391,6 +391,38 @@ class TestConditionGradient:
         assert _condition(ts, hp, IDENTITY).grad is None
 
 
+class TestLeanCondition:
+    """The evidence's own solve and its empty and jittered edges."""
+
+    def test_empty_training_set(self):
+        c = _condition(empty_ts(), HP, IDENTITY, with_grad=True)
+        assert c.lml == 0.0
+        np.testing.assert_array_equal(c.grad, np.zeros(3))
+        assert c.alpha.shape == (0,)
+
+    def test_jittered_gram_matches_oracles(self):
+        # A repeated input with no target covariance and no noise gives a
+        # singular Gram matrix, so the factor needs jitter.  Its condition
+        # number is then about 1e12, so two stable routes agree only to
+        # about 1e-8 relative here; one jitter step (a factor 10) moves the
+        # LML by about 1.
+        x = np.array([0.2, 0.2, 0.8])
+        ts = TrainingSet.exact(x, x + 0.1 * np.sin(5.0 * x))
+        hp = Hyperparameters(length_scale=0.1, signal_variance=1.0, noise_variance=0.0)
+        c = _condition(ts, hp, IDENTITY)
+        jitter = c.factor.jitter_used
+        assert jitter > 0
+        assert c.lml == pytest.approx(
+            _oracles.lml_bruteforce(ts, hp, IDENTITY, jitter), rel=1e-6
+        )
+        y_star = np.array([0.25, 0.55, 0.8])
+        np.testing.assert_allclose(
+            predict_mean(fit(ts, hp, IDENTITY), y_star),
+            _oracles.predict_mean_bruteforce(ts, hp, IDENTITY, y_star, jitter),
+            rtol=0, atol=1e-5,
+        )
+
+
 class TestSearchParity:
     """The gradient search reaches a simplex search's optimum or better."""
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, given, strategies as st
 
-from cascal import sim
+from cascal import cascade, lut, sim
 from cascal.errors import ConfigError, NonMonotonic
 from cascal.sim import (
     SensorTruth,
@@ -296,6 +296,25 @@ class TestCostJ:
 
     def test_identity_model_on_identity_truth(self):
         assert cost_j(lambda y: np.asarray(y), identity_pair()) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_maps_cost_what_each_costs_alone(self, seed):
+        # run_trial scores its three maps in one call, against one inversion
+        # of the truth; each cost must be the one a single-map call gives.
+        pair, _ = sample_truth_pair(seed)
+        d1 = generate_d1(pair, 20, substream(seed, 1))
+        d2 = generate_d2(pair, 30, 3, 6, substream(seed, 2))
+        stage_one = cascade.calibrate_stage_one(d2)
+        maps = [
+            cascade.calibrate_cascaded(d1, d2, stage_one=stage_one).apply,
+            cascade.calibrate_alternative1(d1, d2, stage_one=stage_one).apply,
+            lut.calibrate_lut_cascade(d1, d2).apply,
+        ]
+        stacked = cost_j(lambda y: np.stack([f(y) for f in maps]), pair, 501)
+        alone = [cost_j(f, pair, 501) for f in maps]
+        assert all(isinstance(j, float) for j in alone)
+        assert stacked.shape == (3,)
+        assert stacked.tolist() == alone
 
 
 class TestDeterminism:
