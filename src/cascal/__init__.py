@@ -5,11 +5,12 @@ covariance of the first stage becomes the observation covariance of the
 second, plus a lookup-table baseline and a seeded Monte Carlo benchmark
 harness comparing the approaches.
 
-The names below load with their module on first use, so ``import cascal``
-loads no numpy: the ``cascal`` command can still pin BLAS threads first.
+The names below, and the modules that hold them, load on first use, so
+``import cascal`` loads no numpy: the ``cascal`` command can still pin BLAS
+threads first.
 """
 
-import importlib
+import sys
 
 _EXPORTS = {
     "cascade": ("CalibrationDataset", "CascadeConfig", "CascadeModel",
@@ -38,13 +39,25 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
+def _submodule(name: str):
+    # __import__, not importlib.import_module: the command's `from . import`
+    # lands here, and through import_module the numpy and scipy imports
+    # below it read about 0.1 s slower in bench/run.py's import_s (2 vCPU;
+    # the cause was not found).
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _submodule(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_submodule(_HOME[name]), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list:
-    return sorted(set(globals()) | set(_HOME))
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

@@ -21,13 +21,13 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
-from scipy.linalg.lapack import dpotrs
 
 from ._record import Record, float_array
 from .errors import CascalError, OptimizationFailed
 from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 from .numerics import (
     PsdFactor,
+    _solve_factored,
     factor_psd,
     inverse_psd,
     log_det,
@@ -177,12 +177,8 @@ def _condition(
     gram.flat[:: n + 1] += hp.noise_variance
     factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
     residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    # solve_psd's check and solve; TrainingSet makes its shape checks, and
-    # an empty set's alpha is its empty residual (dpotrs rejects 0 x 0).
-    lower = factor.lower_triangular
-    if not (np.isfinite(lower.diagonal()).all() and np.isfinite(residual).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    alpha = dpotrs(lower, residual, lower=1)[0] if n else residual
+    # TrainingSet has checked the residual's shape.
+    alpha = _solve_factored(factor, residual)
     lml = float(-0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * n * LOG_2PI)
     grad = None
     if with_grad:

@@ -3,9 +3,7 @@
 Every Gram-matrix factorization, solve, inverse and log-determinant in the
 toolkit goes through this module, so the stabilization policy (escalating
 diagonal jitter) lives in exactly one place.  The factor, the solve and the
-inverse call LAPACK's dpotrf, dpotrs and dpotri directly.  The one solve
-made elsewhere is the evidence's, in ``gp._condition``: it calls dpotrs on
-a factor from here, behind the same finiteness check as :func:`solve_psd`.
+inverse call LAPACK's dpotrf, dpotrs and dpotri directly.
 """
 
 from __future__ import annotations
@@ -111,11 +109,19 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
         )
+    return _solve_factored(f, b)
+
+
+def _solve_factored(f: PsdFactor, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_psd` for a float ``b`` whose shape the caller has checked.
+
+    The evidence's hot path (``gp._condition``) calls it directly.
+    """
     if f.n == 0:
         return b.copy()
     # A non-finite entry of a Cholesky factor makes the diagonal entry of
     # its row non-finite, so the diagonal stands for the whole factor.
-    if not (np.isfinite(b).all() and np.isfinite(np.diag(f.lower_triangular)).all()):
+    if not (np.isfinite(b).all() and np.isfinite(f.lower_triangular.diagonal()).all()):
         raise ValueError("array must not contain infs or NaNs")
     x, _ = dpotrs(f.lower_triangular, b, lower=1)
     return x

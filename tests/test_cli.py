@@ -1023,9 +1023,11 @@ class TestBlasThreads:
         assert _fresh_python(code) == ["False", "0.1.0"]
 
     def test_exports_load_on_first_use(self):
-        code = ("import cascal; "
-                "print(cascal.fit is cascal.gp.fit, hasattr(cascal, 'nope'))")
-        assert _fresh_python(code) == ["True", "False"]
+        code = ("import cascal; gp = cascal.gp; "
+                "print(gp.fit is cascal.fit, 'sim' in dir(cascal), "
+                "cascal.sim.sample_truth_pair is cascal.sample_truth_pair, "
+                "hasattr(cascal, 'nope'))")
+        assert _fresh_python(code) == ["True", "True", "True", "False"]
 
     def test_command_pins_one_thread(self):
         assert _fresh_python(self.READ) == ["1", "1", "1"]
