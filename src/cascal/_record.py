@@ -108,8 +108,8 @@ class Record:
 
 def read_json(path, what: str, decode):
     """``decode`` of the JSON file at ``path``; any failure names the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
+    try:  # overflow is silent: it ends in a finiteness check's one-line error
+        with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
             return decode(json.load(fh))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             CascalError) as exc:

@@ -89,14 +89,19 @@ class CascadeModel(Record):
         return gp.predict_var(self.stage_two, y1)
 
 
+def _fit(ts: TrainingSet, cfg: CascadeConfig, stage_two: bool = True) -> GPPosterior:
+    """Evidence-maximized fit; only stage two may pin its noise at 0."""
+    fix_noise = 0.0 if stage_two and not cfg.stage2_learned_noise else None
+    hp0 = gp.default_hp0(ts, cfg.prior_mean)
+    hp = gp.optimize_hyperparameters(ts, hp0, cfg.optimizer, cfg.prior_mean, fix_noise)
+    return gp.fit(ts, hp, cfg.prior_mean)
+
+
 def calibrate_stage_one(
     d2: CalibrationDataset, cfg: CascadeConfig = CascadeConfig()
 ) -> GPPosterior:
     """Fit the test-bed-to-reference model on its calibration dataset."""
-    ts = TrainingSet.exact(d2.x, d2.y)
-    hp0 = gp.default_hp0(ts, cfg.prior_mean)
-    hp = gp.optimize_hyperparameters(ts, hp0, cfg.optimizer, cfg.prior_mean)
-    return gp.fit(ts, hp, cfg.prior_mean)
+    return _fit(TrainingSet.exact(d2.x, d2.y), cfg, stage_two=False)
 
 
 def propagate(d1: CalibrationDataset, stage_one: GPPosterior) -> TrainingSet:
@@ -109,17 +114,6 @@ def propagate(d1: CalibrationDataset, stage_one: GPPosterior) -> TrainingSet:
     targets = gp.predict_mean(stage_one, d1.y)
     cov = gp.predict_cov(stage_one, d1.y)
     return TrainingSet(inputs=d1.x, targets=targets, target_cov=cov)
-
-
-def _fit_stage_two(
-    propagated: TrainingSet, cfg: CascadeConfig
-) -> GPPosterior:
-    fix_noise = None if cfg.stage2_learned_noise else 0.0
-    hp0 = gp.default_hp0(propagated, cfg.prior_mean)
-    hp = gp.optimize_hyperparameters(
-        propagated, hp0, cfg.optimizer, cfg.prior_mean, fix_noise=fix_noise
-    )
-    return gp.fit(propagated, hp, cfg.prior_mean)
 
 
 def calibrate_cascaded(
@@ -136,7 +130,7 @@ def calibrate_cascaded(
     if stage_one is None:
         stage_one = calibrate_stage_one(d2, cfg)
     propagated = propagate(d1, stage_one)
-    stage_two = _fit_stage_two(propagated, cfg)
+    stage_two = _fit(propagated, cfg)
     return CascadeModel(stage_one, stage_two, METHOD_BAYES, cfg)
 
 
@@ -157,7 +151,7 @@ def calibrate_alternative1(
     targets = gp.predict_mean(stage_one, d1.y)
     cov = stage_one.hp.noise_variance * np.eye(d1.n)
     propagated = TrainingSet(inputs=d1.x, targets=targets, target_cov=cov)
-    stage_two = _fit_stage_two(propagated, cfg)
+    stage_two = _fit(propagated, cfg)
     return CascadeModel(stage_one, stage_two, METHOD_ALT1, cfg)
 
 

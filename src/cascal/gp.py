@@ -64,7 +64,7 @@ class TrainingSet:
         Covariance of the targets (meters^2).  Use zeros for exact or
         i.i.d.-noise observations (the noise then lives in the
         hyperparameters).  Asymmetry beyond ``SYMMETRY_TOL`` is rejected;
-        within it the matrix is stored as (C + C.T) / 2, exactly symmetric.
+        within it the matrix is stored as C / 2 + C.T / 2, exactly symmetric.
     """
 
     inputs: np.ndarray
@@ -87,7 +87,7 @@ class TrainingSet:
         asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
         if asym > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(cov), initial=0.0))):
             raise ValueError(f"target_cov is not symmetric (asymmetry {asym:.3e})")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * cov + 0.5 * cov.T  # halving first cannot overflow
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "target_cov", cov)
@@ -265,8 +265,6 @@ def log_marginal_likelihood(
 
         -0.5 * r' Kt^-1 r - 0.5 * log|Kt| - n/2 * log(2 pi)
     """
-    if ts.n == 0:
-        return 0.0
     return _condition(ts, hp, mean).lml
 
 

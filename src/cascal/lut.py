@@ -46,12 +46,9 @@ def build_lut(pairs: CalibrationDataset) -> LookupTable:
 
     Raises DegenerateTable when fewer than 2 distinct breakpoints remain.
     """
-    order = np.argsort(pairs.x, kind="stable")
-    x = pairs.x[order]
-    y = pairs.y[order]
-    uniq, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    uniq, inverse, counts = np.unique(pairs.x, return_inverse=True, return_counts=True)
     sums = np.zeros_like(uniq)
-    np.add.at(sums, inverse, y)
+    np.add.at(sums, inverse, pairs.y)  # each group summed in input order
     if uniq.shape[0] < 2:
         raise DegenerateTable(
             f"only {uniq.shape[0]} distinct breakpoint(s) after deduplication"
@@ -99,7 +96,7 @@ class LutCascade(Record):
 
     def apply(self, y1: np.ndarray) -> np.ndarray:
         y1 = np.asarray(y1, dtype=float).ravel()
-        return np.asarray(lut_eval(self.stage_two, y1, self.extrapolation))
+        return lut_eval(self.stage_two, y1, self.extrapolation)
 
     def to_dict(self) -> dict:
         """Fields by name, with ``extrapolation`` nested under ``config``."""
@@ -127,7 +124,7 @@ def calibrate_lut_cascade(
     """
     table_23 = build_lut(d2)
     relabeled = CalibrationDataset(
-        x=d1.x, y=np.asarray(lut_eval(table_23, d1.y, extrapolation))
+        x=d1.x, y=lut_eval(table_23, d1.y, extrapolation)
     )
     table_13 = build_lut(relabeled)
     return LutCascade(

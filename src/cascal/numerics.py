@@ -98,18 +98,23 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     )
 
 
+def _rhs(f: PsdFactor, b) -> np.ndarray:
+    """``b`` as floats, checked to be a vector or matrix with ``f.n`` rows."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2) or b.shape[0] != f.n:
+        raise DimensionMismatch(
+            f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
+        )
+    return b
+
+
 def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     """Solve (A + jitter*I) X = B using the stored factor.
 
     ``b`` may be a vector of length n or an (n, m) matrix; the result has
     the same shape.  A non-finite ``b`` or factor raises ``ValueError``.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != f.n:
-        raise DimensionMismatch(
-            f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
-        )
-    return _solve_factored(f, b)
+    return _solve_factored(f, _rhs(f, b))
 
 
 def _solve_factored(f: PsdFactor, b: np.ndarray) -> np.ndarray:
@@ -147,12 +152,7 @@ def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     B' (A + jitter*I)^-1 B column by column, without forming it across
     columns.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != f.n:
-        raise DimensionMismatch(
-            f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
-        )
-    return scipy.linalg.solve_triangular(f.lower_triangular, b, lower=True)
+    return scipy.linalg.solve_triangular(f.lower_triangular, _rhs(f, b), lower=True)
 
 
 def log_det(f: PsdFactor) -> float:

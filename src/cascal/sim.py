@@ -178,10 +178,10 @@ def _monotone_grid(t: SensorTruth, rng_range: tuple) -> tuple:
     return grid, vals
 
 
-def is_monotone(t: SensorTruth, rng_range: tuple = (0.0, 1.0)) -> bool:
+def is_monotone(t: SensorTruth) -> bool:
     """Whether the noiseless response is strictly increasing on the padded range."""
     try:
-        _monotone_grid(t, rng_range)
+        _monotone_grid(t, TruthPair.range)
     except NonMonotonic:
         return False
     return True
@@ -196,18 +196,16 @@ def _response_and_slope(t: SensorTruth, p: np.ndarray) -> tuple:
     return value, slope
 
 
-def invert_sensor(
-    t: SensorTruth, y_obs, tol: float = 1e-10, rng_range: tuple = (0.0, 1.0)
-):
+def invert_sensor(t: SensorTruth, y_obs, rng_range: tuple = TruthPair.range):
     """Invert the noiseless response by safeguarded Newton.
 
     Each query starts from the linear interpolant inside the cell of the
-    monotonicity grid that brackets it, takes Newton steps on the
-    analytic slope, and keeps the bracket tight from the sign of the
-    residual; a step that would leave the bracket goes to its midpoint
-    instead.  Iteration stops once no query moves by ``tol * 1e-2``.
-    Returns the true position(s) whose noiseless reading equals ``y_obs``
-    to within ``tol``.  Accepts a scalar or an array.
+    monotonicity grid over the padded ``rng_range`` that brackets it, takes
+    Newton steps on the analytic slope, and keeps the bracket tight from
+    the sign of the residual; a step that would leave the bracket goes to
+    its midpoint instead.  Iteration stops once no query moves by 1e-12,
+    a fixed tolerance.  Returns the true position(s) whose noiseless
+    reading equals ``y_obs``.  Accepts a scalar or an array.
     """
     grid, vals = _monotone_grid(t, rng_range)
     y = np.atleast_1d(np.asarray(y_obs, dtype=float))
@@ -229,7 +227,7 @@ def invert_sensor(
         hi = np.where(below, hi, root)
         newton = root - (value - y) / slope
         nxt = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        done = np.max(np.abs(nxt - root)) < tol * 1e-2
+        done = np.max(np.abs(nxt - root)) < 1e-12
         root = nxt
         if done:
             break
@@ -244,7 +242,6 @@ def sample_truth_pair(
     coeff_var: float = Problem.coeff_var,
     freq_var: float = Problem.freq_var,
     noise_variance: float = Problem.noise_var,
-    rng_range: tuple = (0.0, 1.0),
 ) -> tuple:
     """Draw a truth pair, redrawing until both sensors are invertible.
 
@@ -255,8 +252,8 @@ def sample_truth_pair(
         rng = substream(seed, 0, attempt)
         sensor1 = sample_truth(rng, n_terms, coeff_var, freq_var, noise_variance)
         sensor2 = sample_truth(rng, n_terms, coeff_var, freq_var, noise_variance)
-        if is_monotone(sensor1, rng_range) and is_monotone(sensor2, rng_range):
-            return TruthPair(sensor1, sensor2, rng_range), attempt
+        if is_monotone(sensor1) and is_monotone(sensor2):
+            return TruthPair(sensor1, sensor2), attempt
     raise NonMonotonic(
         f"no invertible truth pair found in {MAX_TRUTH_ATTEMPTS} draws for seed {seed}"
     )

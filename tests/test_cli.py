@@ -875,6 +875,20 @@ class TestExitCodes:
         assert "not a valid model file" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
+    def test_overflow_prints_one_line(self, good_files, tmp_path):
+        """A model too large to compute with gives one line on stderr.
+
+        Run in a new interpreter: numpy warns once per call site and
+        process, so in-process capture depends on test order.
+        """
+        done = _fresh(["-m", "cascal.cli", "predict",
+                       "--model", str(_huge_variance_model(tmp_path / "m.json")),
+                       "--input", str(good_files / "in.csv"),
+                       "--out", str(tmp_path / "o.csv")])
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), done.stderr
+
     def test_all_flagged_campaign_exits_1(self, good_files, tmp_path):
         trials = _write(tmp_path / "t.csv", TRIALS_HEAD + "0,nan,nan,nan,boom\n")
         result = invoke("summarize", "--trials", trials, "--out", tmp_path / "s.json")
@@ -1003,13 +1017,19 @@ class TestLoaderFuzzing:
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(code, **env):
-    """Output words of ``code`` run by a new interpreter, BLAS variables unset."""
+def _fresh(args, **env):
+    """``python args`` run by a new interpreter, BLAS variables unset."""
     base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
     src = str(Path(__file__).parents[1] / "src")
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
-                          capture_output=True, text=True, check=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _fresh_python(code, **env):
+    """Output words of ``code`` run by a new interpreter, BLAS variables unset."""
+    done = _fresh(["-c", code], **env)
+    done.check_returncode()
     return done.stdout.split()
 
 

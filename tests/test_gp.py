@@ -66,6 +66,12 @@ class TestTrainingSet:
         np.testing.assert_array_equal(ts.target_cov, ts.target_cov.T)
         assert ts.target_cov[0, 1] == 0.5 * (0.5 + (0.5 + 1e-12))
 
+    def test_huge_finite_cov_stored_unchanged(self):
+        cov = np.diag([1.7e308, 1.0])
+        with np.errstate(over="raise"):
+            ts = TrainingSet(np.zeros(2), np.zeros(2), cov)
+        np.testing.assert_array_equal(ts.target_cov, cov)
+
     def test_indefinite_cov_rejected(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):

@@ -55,6 +55,19 @@ class TestBuildLut:
         np.testing.assert_array_equal(t.breakpoints, xs)
         np.testing.assert_array_equal(t.values, ys)
 
+    @given(st.permutations(list(range(6))))
+    def test_duplicates_summed_in_input_order(self, order):
+        # 1e16 + 1.0 - 1e16 is 0.0 in floats, 1e16 - 1e16 + 1.0 is 1.0.
+        xs = np.array([0.5, 0.5, 0.5, 0.0, 0.25, 1.0])[order]
+        ys = np.array([1e16, 1.0, -1e16, 0.0, 0.5, 1.0])[order]
+        total = 0.0
+        for x, y in zip(xs, ys):
+            if x == 0.5:
+                total += y
+        t = build_lut(CalibrationDataset(xs, ys))
+        np.testing.assert_array_equal(t.breakpoints, [0.0, 0.25, 0.5, 1.0])
+        assert t.values[2] == total / 3
+
 
 class TestLutEval:
     def test_identity_interpolation(self):
