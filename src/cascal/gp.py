@@ -7,10 +7,11 @@ marginal likelihood alongside the learned noise variance, which is what
 lets a second regression stage consume the uncertainty of a first one.
 
 Hyperparameters are selected by empirical Bayes: a bounded quasi-Newton
-search (L-BFGS-B) maximizes the log marginal likelihood in log-parameter
-space, from several deterministic starting points, driven by its analytic
-gradient.  Fitting, the evidence and its gradient share one conditioning
-path, so each evaluation factors the Gram matrix once.
+search maximizes the log marginal likelihood in log-parameter space, from
+several deterministic starting points, driven by its analytic gradient.
+The search drives scipy's L-BFGS-B routine directly and takes the iterates
+of ``scipy.optimize.minimize``.  Fitting, the evidence and its gradient
+share one conditioning path, so each evaluation factors the Gram matrix once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
+import scipy.optimize  # here, not a frame deeper below: 3.11 imports it faster
+from scipy.optimize._lbfgsb import setulb
 
 from ._record import Record, float_array
 from .errors import CascalError, OptimizationFailed
@@ -276,7 +278,8 @@ class OptimizerConfig(Record):
     ``maxiter``).  ``rel_tol`` is its ``ftol``: a start stops once an
     iteration lowers the negative evidence by less than that fraction of
     max(|f|, |f at the start|, 1).  Every log-parameter is bounded to
-    [``log_lower``, ``log_upper``].
+    [``log_lower``, ``log_upper``].  The 10 corrections and 20 line-search
+    steps are scipy's defaults and are fixed.
     """
 
     start_offsets: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -327,6 +330,40 @@ _NUMERICAL_ERRORS = (CascalError, ValueError, np.linalg.LinAlgError)
 _PGTOL = 1e-9
 
 
+def _lbfgsb(objective, x0, f0, g0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
+    """Minimize objective / max(1, |f0|) in the box from x0, where it is f0, g0.
+
+    Calls scipy's L-BFGS-B routine, ``setulb``, as ``scipy.optimize.minimize``
+    does, reusing the evaluations at x0 and at the point last evaluated, so
+    it takes the same iterates.  Returns the final x and last f, unscaled.
+    """
+    n, m, scale, start = x0.size, 10, max(1.0, abs(f0)), x0.tolist()
+    x, f, g, last_x, nfev, nit = x0.copy(), 0.0, np.zeros(n), None, 0, 0
+    box = np.full(n, cfg.log_lower), np.full(n, cfg.log_upper), np.full(n, 2, np.int32)
+    factr = cfg.rel_tol / np.finfo(float).eps
+    wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
+    iwa, task, lsave, isave, ln_task = (np.zeros(k, np.int32) for k in (3 * n, 2, 4, 44, 2))
+    while True:
+        setulb(m, x, *box, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)
+        if task[0] == 3:  # FG: the objective at x
+            if x.tolist() != last_x:
+                last_x, nfev = x.tolist(), nfev + 1
+                f, g = (f0, g0) if last_x == start else objective(x)
+                last_fg = f / scale, g / scale
+            f, g = last_fg[0], last_fg[1].copy()  # setulb may write to g
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= cfg.max_iters:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > 15000:
+                task[:] = 5, 502  # STOP: evaluation limit
+        elif task[0] == 7:  # ERROR: an inverted box or a negative rel_tol
+            raise ValueError(f"L-BFGS-B rejects the settings {cfg}")
+        else:
+            return x, f * scale
+
+
 def optimize_hyperparameters(
     ts: TrainingSet,
     hp0: Hyperparameters,
@@ -339,11 +376,13 @@ def optimize_hyperparameters(
     Runs L-BFGS-B with the analytic gradient over (log length_scale,
     log signal_variance, log noise_variance), bounded to the search box and
     multi-started by adding each configured offset to every coordinate of
-    hp0's log-parameters.  Each start's objective is divided by
-    max(1, |f(x0)|): at a tiny starting noise variance the raw gradient is
-    large enough that the first (steepest-descent) step would otherwise
-    jump to a corner of the box.  The best finite result is returned, and
-    it is never worse than hp0 itself.
+    hp0's log-parameters.  It drives scipy's L-BFGS-B routine directly
+    (``_lbfgsb``), with the iterates of ``scipy.optimize.minimize``.  Each
+    start's objective is divided by max(1, |f(x0)|): at a tiny starting
+    noise variance the raw gradient is large enough that the first
+    (steepest-descent) step would otherwise jump to a corner of the box.
+    The best finite result is returned, and it is never worse than hp0
+    itself.
 
     Parameters
     ----------
@@ -389,24 +428,10 @@ def optimize_hyperparameters(
         f0, g0 = objective(x0)
         if not np.isfinite(f0):
             continue
-        scale = max(1.0, abs(f0))
-
-        def scaled(x: np.ndarray) -> tuple[float, np.ndarray]:
-            f, g = (f0, g0) if (x == x0).all() else objective(x)
-            return f / scale, g / scale
-
-        result = scipy.optimize.minimize(
-            scaled,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(lo, hi)] * x0.size,
-            options={"maxiter": cfg.max_iters, "ftol": cfg.rel_tol, "gtol": _PGTOL},
-        )
-        f_final = float(result.fun) * scale
+        x, f_final = _lbfgsb(objective, x0, f0, g0, cfg)
         if np.isfinite(f_final) and f_final < best_f:
             best_f = f_final
-            best_hp = _unpack(result.x, fix_noise)
+            best_hp = _unpack(x, fix_noise)
 
     if not np.isfinite(best_f):
         raise OptimizationFailed(

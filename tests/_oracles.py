@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's solve path: posteriors
 use an explicit dense inverse (numpy's LU-based ``inv``) and the evidence
 uses ``slogdet``, so agreement with the package is a two-route check.
-The one exception is ``optimize_nelder_mead``, a reference for the
-hyperparameter *search*: it maximizes the package's own evidence, so that
-only the search differs from the package's.
+The exceptions are the references for the hyperparameter *search*,
+``optimize_nelder_mead`` and ``optimize_scipy_minimize``: they maximize the
+package's own evidence, so that only the search differs from the
+package's.
 """
 
 import math
@@ -13,8 +14,10 @@ import math
 import numpy as np
 import scipy.optimize
 
+from cascal import gp
+from cascal.errors import OptimizationFailed
 from cascal.gp import OptimizerConfig, log_marginal_likelihood
-from cascal.kernels import Hyperparameters, eval_prior_mean, kernel_matrix
+from cascal.kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 
 
 def gram(ts, hp, jitter=0.0):
@@ -100,4 +103,72 @@ def optimize_nelder_mead(ts, hp0, mean, cfg=OptimizerConfig(), fix_noise=None):
         if f_final < best_f:
             best_f = f_final
             best_hp = unpack(result.x)
+    return best_hp
+
+
+def optimize_scipy_minimize(
+    ts, hp0, cfg=OptimizerConfig(), mean=PriorMean.identity(), fix_noise=None
+):
+    """``gp.optimize_hyperparameters`` through ``scipy.optimize.minimize``.
+
+    The multi-start L-BFGS-B search as it was before the package drove
+    scipy's L-BFGS-B routine itself: the same starts, scaling, box and
+    tolerances, with every start handed to ``scipy.optimize.minimize``.
+    It calls ``gp._condition`` through the module, so a test that replaces
+    it replaces it here too.
+    """
+    if ts.n < 2:
+        raise ValueError(f"need at least 2 training points, got {ts.n}")
+
+    lo, hi = cfg.log_lower, cfg.log_upper
+
+    def objective(x):
+        """Negative evidence and its gradient; inf where it is not finite."""
+        try:
+            c = gp._condition(ts, gp._unpack(x, fix_noise), mean, with_grad=True)
+        except gp._NUMERICAL_ERRORS:
+            return np.inf, np.zeros_like(x)
+        grad = c.grad[: x.size]
+        if not (math.isfinite(c.lml) and np.isfinite(grad).all()):
+            return np.inf, np.zeros_like(x)
+        return -c.lml, -grad
+
+    if fix_noise is not None:
+        hp0 = Hyperparameters(hp0.length_scale, hp0.signal_variance, fix_noise)
+    try:
+        lml0 = gp.log_marginal_likelihood(ts, hp0, mean)
+    except gp._NUMERICAL_ERRORS:
+        lml0 = -np.inf
+    best_hp = hp0
+    best_f = -lml0 if np.isfinite(lml0) else np.inf
+
+    x0_center = np.clip(gp._pack(hp0, fix_noise), lo, hi)
+    for offset in cfg.start_offsets:
+        x0 = np.clip(x0_center + offset, lo, hi)
+        f0, g0 = objective(x0)
+        if not np.isfinite(f0):
+            continue
+        scale = max(1.0, abs(f0))
+
+        def scaled(x):
+            f, g = (f0, g0) if (x == x0).all() else objective(x)
+            return f / scale, g / scale
+
+        result = scipy.optimize.minimize(
+            scaled,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(lo, hi)] * x0.size,
+            options={"maxiter": cfg.max_iters, "ftol": cfg.rel_tol, "gtol": gp._PGTOL},
+        )
+        f_final = float(result.fun) * scale
+        if np.isfinite(f_final) and f_final < best_f:
+            best_f = f_final
+            best_hp = gp._unpack(result.x, fix_noise)
+
+    if not np.isfinite(best_f):
+        raise OptimizationFailed(
+            "no optimizer start produced a finite log marginal likelihood"
+        )
     return best_hp

@@ -456,6 +456,104 @@ class TestSearchParity:
             ), name
 
 
+class TestScipyMinimizeParity:
+    """The search takes ``scipy.optimize.minimize``'s L-BFGS-B iterates.
+
+    ``gp._lbfgsb`` calls scipy's L-BFGS-B routine itself; the oracle hands
+    each start to ``scipy.optimize.minimize``.  The two must pick the same
+    hyperparameters, bit for bit, through the same number of evidence
+    evaluations.  A scipy that changes the routine's arguments or defaults
+    fails here.
+    """
+
+    CONFIGS = [
+        OptimizerConfig(),
+        OptimizerConfig(max_iters=1),
+        OptimizerConfig(max_iters=3),
+        OptimizerConfig(rel_tol=0.0),
+    ]
+
+    @staticmethod
+    def assert_same_search(monkeypatch, ts, cfg, fix_noise, condition=None):
+        condition = condition or gp._condition
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return condition(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_condition", counted)
+        hp0 = default_hp0(ts, IDENTITY)
+        ours = optimize_hyperparameters(ts, hp0, cfg, IDENTITY, fix_noise)
+        n_ours = len(calls)
+        ref = _oracles.optimize_scipy_minimize(ts, hp0, cfg, IDENTITY, fix_noise)
+        assert ours == ref
+        assert n_ours == len(calls) - n_ours
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "n_grid, edge_remove, center_remove, n1",
+        [(40, 3, 8, 30), (32, 4, 8, 25)],
+        ids=["26/30", "16/25"],
+    )
+    def test_campaign_training_sets(
+        self, monkeypatch, seed, n_grid, edge_remove, center_remove, n1
+    ):
+        pair, _ = sim.sample_truth_pair(seed)
+        d1 = sim.generate_d1(pair, n1, sim.substream(seed, 1))
+        d2 = sim.generate_d2(
+            pair, n_grid, edge_remove, center_remove, sim.substream(seed, 2)
+        )
+        stage_one = cascade.calibrate_stage_one(d2)
+        sets = [
+            TrainingSet.exact(d2.x, d2.y),
+            cascade.propagate(d1, stage_one),
+            cascade.calibrate_alternative1(d1, d2, stage_one=stage_one).stage_two.train,
+        ]
+        for ts in sets:
+            for fix_noise in (None, 0.0):
+                for cfg in self.CONFIGS:
+                    with monkeypatch.context() as m:
+                        self.assert_same_search(m, ts, cfg, fix_noise)
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0, 2.0])
+    def test_failing_region(self, monkeypatch, fraction):
+        # evaluations fail above a length scale that the search crosses:
+        # starts there are skipped, and line searches meet inf and back off
+        pair, _ = sim.sample_truth_pair(0)
+        d2 = sim.generate_d2(pair, 40, 3, 8, sim.substream(0, 2))
+        ts = TrainingSet.exact(d2.x, d2.y)
+        limit = fraction * optimize_hyperparameters(
+            ts, default_hp0(ts, IDENTITY)
+        ).length_scale
+        real = gp._condition
+        failed = []
+
+        def fails_above(ts_, hp_, mean, with_grad=False):
+            if hp_.length_scale > limit:
+                failed.append(None)
+                raise NotPositiveDefinite("forced")
+            return real(ts_, hp_, mean, with_grad)
+
+        for cfg in self.CONFIGS:
+            with monkeypatch.context() as m:
+                self.assert_same_search(m, ts, cfg, None, fails_above)
+        assert failed
+
+    def test_degenerate_boxes(self, monkeypatch):
+        ts, _, _ = random_problem(13, 10)
+        # a box of one point: every start is clipped onto it
+        self.assert_same_search(
+            monkeypatch, ts, OptimizerConfig(log_lower=-1.0, log_upper=-1.0), None
+        )
+        # an inverted box: both searches raise
+        inverted = OptimizerConfig(log_lower=1.0, log_upper=-1.0)
+        hp0 = default_hp0(ts, IDENTITY)
+        for search in (optimize_hyperparameters, _oracles.optimize_scipy_minimize):
+            with pytest.raises(ValueError):
+                search(ts, hp0, inverted)
+
+
 class TestSerialization:
     def test_roundtrip_reproduces_predictions(self):
         ts, hp, y_star = random_problem(31, 6, m=5)
