@@ -18,7 +18,7 @@ _EXPORTS = {
                 "calibrate_stage_one", "propagate"),
     "errors": ("CascalError", "ConfigError", "DatasetFormatError", "DegenerateTable",
                "DimensionMismatch", "EmptyCampaign", "NonMonotonic",
-               "NotPositiveDefinite", "OptimizationFailed"),
+               "NotPositiveDefinite", "OptimizationFailed", "ScipyIncompatible"),
     "gp": ("GPPosterior", "OptimizerConfig", "TrainingSet", "fit",
            "log_marginal_likelihood", "optimize_hyperparameters", "predict_cov",
            "predict_mean", "predict_var"),

@@ -21,6 +21,14 @@ class OptimizationFailed(CascalError):
     """No optimizer start produced a finite objective value."""
 
 
+class ScipyIncompatible(CascalError):
+    """The installed scipy's L-BFGS-B routine rejects the search's call.
+
+    The routine is private scipy API, so a scipy release may change it;
+    every trial would then fail the same way.
+    """
+
+
 class DegenerateTable(CascalError):
     """Fewer than two distinct breakpoints remain after deduplication."""
 

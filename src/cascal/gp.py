@@ -12,10 +12,14 @@ several deterministic starting points, driven by its analytic gradient.
 The search drives scipy's L-BFGS-B routine directly and takes the iterates
 of ``scipy.optimize.minimize``.  Fitting, the evidence and its gradient
 share one conditioning path, so each evaluation factors the Gram matrix once.
+What does not depend on the hyperparameters (the pairwise input differences
+and the mean-centered residual) is computed once per training set, so an
+evaluation does only the work that the hyperparameters change.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,36 +29,31 @@ import scipy.optimize  # here, not a frame deeper below: 3.11 imports it faster
 from scipy.optimize._lbfgsb import setulb
 
 from ._record import Record, float_array
-from .errors import CascalError, OptimizationFailed
-from .kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
+from .errors import CascalError, OptimizationFailed, ScipyIncompatible
+from .kernels import (Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix,
+                      se_from_scaled)
 from .numerics import (
     PsdFactor,
     _solve_factored,
+    default_max_jitter,
     factor_psd,
     inverse_psd,
-    log_det,
     solve_lower,
     solve_psd,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-#: Gram matrices receive escalating jitter up to this fraction of their
-#: largest diagonal entry.
-MAX_JITTER_FRACTION = 1e-5
-
 #: Relative asymmetry above which a target covariance is rejected.
 SYMMETRY_TOL = 1e-9
-
-
-def _gram_max_jitter(k: np.ndarray) -> float:
-    diag_max = float(k.diagonal().max()) if k.size else 0.0
-    return MAX_JITTER_FRACTION * max(diag_max, 1e-30)
 
 
 @dataclass(frozen=True)
 class TrainingSet:
     """Scalar inputs, targets, and a full target covariance matrix.
+
+    The pairwise input differences and each prior mean's residual are
+    computed on first use and kept, read-only, for the life of the set.
 
     Attributes
     ----------
@@ -93,11 +92,33 @@ class TrainingSet:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "target_cov", cov)
-        factor_psd(cov, max_jitter=_gram_max_jitter(cov) + 1e-12)  # PSD check
+        factor_psd(cov, max_jitter=default_max_jitter(cov) + 1e-12)  # PSD check
 
     @property
     def n(self) -> int:
         return self.inputs.shape[0]
+
+    @functools.cached_property
+    def differences(self) -> np.ndarray:
+        """inputs[p] - inputs[q], shape (n, n)."""
+        diff = self.inputs[:, None] - self.inputs[None, :]
+        diff.flags.writeable = False
+        return diff
+
+    @functools.cached_property
+    def _residuals(self) -> dict:
+        return {}
+
+    def residual(self, mean: PriorMean) -> np.ndarray:
+        """targets - mean(inputs); raises ValueError if it is not finite."""
+        r = self._residuals.get(mean)
+        if r is None:
+            r = self.targets - eval_prior_mean(mean, self.inputs)
+            if not np.isfinite(r).all():
+                raise ValueError("array must not contain infs or NaNs")
+            r.flags.writeable = False
+            self._residuals[mean] = r
+        return r
 
     @classmethod
     def exact(cls, inputs: np.ndarray, targets: np.ndarray) -> "TrainingSet":
@@ -171,17 +192,19 @@ def _condition(
     (Rasmussen & Williams, eq. 5.9) over the log-hyperparameters, with the
     jitter the factorization needed held fixed.  target_cov does not
     depend on the hyperparameters, so it drops out of the derivatives.
+
+    The input differences and r come from the training set, which computes
+    them once; a call does only the work that depends on ``hp``.
     """
     n = ts.n
-    k = kernel_matrix(ts.inputs, ts.inputs, hp)
+    k, sq = se_from_scaled(ts.differences / hp.length_scale, hp.signal_variance)
     # k and target_cov are exactly symmetric, so gram is, as factor_psd needs.
     gram = k + ts.target_cov
-    gram.flat[:: n + 1] += hp.noise_variance
-    factor = factor_psd(gram, max_jitter=_gram_max_jitter(gram))
-    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    # TrainingSet has checked the residual's shape.
-    alpha = _solve_factored(factor, residual)
-    lml = float(-0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * n * LOG_2PI)
+    gram.ravel()[:: n + 1] += hp.noise_variance  # a view: gram is contiguous
+    factor = factor_psd(gram)
+    residual = ts.residual(mean)
+    alpha, logdet = _solve_factored(factor, residual)
+    lml = float(-0.5 * residual @ alpha - 0.5 * logdet - 0.5 * n * LOG_2PI)
     grad = None
     if with_grad:
         # inverse_psd fills only the lower triangle of Kt^-1.  Kt^-1 is
@@ -190,10 +213,7 @@ def _condition(
         # variance and k * sq's is zero.
         kinv = inverse_psd(factor)
         trace_kinv = kinv.trace()
-        scaled_sq = np.square(
-            (ts.inputs[:, None] - ts.inputs[None, :]) / hp.length_scale
-        )
-        k_sq = k * scaled_sq
+        k_sq = np.multiply(k, sq, out=sq)
         grad = 0.5 * np.array([
             alpha @ k_sq @ alpha - 2.0 * (kinv * k_sq).sum(),
             alpha @ k @ alpha - 2.0 * (kinv * k).sum()
@@ -296,8 +316,7 @@ def default_hp0(ts: TrainingSet, mean: PriorMean) -> Hyperparameters:
     residual variance (floored), noise variance at 1e-8.
     """
     span = float(np.ptp(ts.inputs)) if ts.n else 1.0
-    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
-    var = float(np.var(residual)) if ts.n else 1.0
+    var = float(np.var(ts.residual(mean))) if ts.n else 1.0
     return Hyperparameters(
         length_scale=max(0.1 * span, 1e-6),
         signal_variance=max(var, 1e-12),
@@ -336,6 +355,8 @@ def _lbfgsb(objective, x0, f0, g0, cfg: OptimizerConfig) -> tuple[np.ndarray, fl
     Calls scipy's L-BFGS-B routine, ``setulb``, as ``scipy.optimize.minimize``
     does, reusing the evaluations at x0 and at the point last evaluated, so
     it takes the same iterates.  Returns the final x and last f, unscaled.
+    A ``TypeError`` from the routine itself, as from a scipy whose private
+    routine changed its arguments, becomes ``ScipyIncompatible``.
     """
     n, m, scale, start = x0.size, 10, max(1.0, abs(f0)), x0.tolist()
     x, f, g, last_x, nfev, nit = x0.copy(), 0.0, np.zeros(n), None, 0, 0
@@ -344,8 +365,14 @@ def _lbfgsb(objective, x0, f0, g0, cfg: OptimizerConfig) -> tuple[np.ndarray, fl
     wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
     iwa, task, lsave, isave, ln_task = (np.zeros(k, np.int32) for k in (3 * n, 2, 4, 44, 2))
     while True:
-        setulb(m, x, *box, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
-               20, ln_task)
+        try:
+            setulb(m, x, *box, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave,
+                   dsave, 20, ln_task)
+        except TypeError as exc:
+            raise ScipyIncompatible(
+                f"the L-BFGS-B routine of scipy {scipy.__version__} rejects the "
+                f"hyperparameter search's call: {exc}"
+            ) from exc
         if task[0] == 3:  # FG: the objective at x
             if x.tolist() != last_x:
                 last_x, nfev = x.tolist(), nfev + 1
@@ -407,7 +434,7 @@ def optimize_hyperparameters(
         except _NUMERICAL_ERRORS:
             return np.inf, np.zeros_like(x)
         grad = c.grad[: x.size]
-        if not (math.isfinite(c.lml) and np.isfinite(grad).all()):
+        if not all(map(math.isfinite, [c.lml, *grad.tolist()])):
             return np.inf, np.zeros_like(x)
         return -c.lml, -grad
 

@@ -112,15 +112,27 @@ def kernel_matrix(
     """
     y_a = np.asarray(y_a, dtype=float).ravel()
     y_b = np.asarray(y_b, dtype=float).ravel()
-    # In place: above glibc's mmap threshold every m x n temporary is a
-    # fresh mapping that page-faults on first touch.
     diff = y_a[:, None] - y_b[None, :]
     diff /= hp.length_scale
-    k = -0.5 * diff
-    k *= diff
+    return se_from_scaled(diff, hp.signal_variance)[0]
+
+
+def se_from_scaled(
+    scaled: np.ndarray, signal_variance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-exponential kernel from scaled differences (a - b) / length_scale.
+
+    Returns the kernel signal_variance * exp(-0.5 * sq) and the scaled
+    squared distances sq, which overwrite ``scaled``: the evidence's
+    gradient reads them too.
+    """
+    # In place: above glibc's mmap threshold every m x n temporary is a
+    # fresh mapping that page-faults on first touch.
+    sq = np.square(scaled, out=scaled)
+    k = -0.5 * sq
     np.exp(k, out=k)
-    k *= hp.signal_variance
-    return k
+    k *= signal_variance
+    return k, sq
 
 
 def eval_prior_mean(m: PriorMean, y: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 from . import cascade, lut, sim
 from ._record import Record, integer, number, read_table, write_json, write_table
 from .cascade import CascadeConfig
-from .errors import CascalError, ConfigError, DatasetFormatError, EmptyCampaign
+from .errors import (CascalError, ConfigError, DatasetFormatError, EmptyCampaign,
+                     ScipyIncompatible)
 from .gp import OptimizerConfig
 from .kernels import Hyperparameters
 
@@ -101,7 +102,9 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     """Run all three methods on one seeded problem.
 
     Any method failure flags the whole trial (costs become NaN) so that
-    summaries only ever compare methods on identical draws.
+    summaries only ever compare methods on identical draws.  An installed
+    scipy that rejects the search's call (``ScipyIncompatible``) would fail
+    every trial alike, so it propagates instead.
     """
     costs: dict[str, float] = {}
     rejected, d1, d2, hp1, hp2, flag = 0, None, None, None, None, None
@@ -125,6 +128,8 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
 
         costs = dict(zip(METHODS, sim.cost_j(stacked, pair, cfg.n_quad).tolist()))
         hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
+    except ScipyIncompatible:
+        raise
     except (CascalError, ValueError) as exc:
         flag = f"{type(exc).__name__}: {exc}"
 
@@ -229,13 +234,14 @@ def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
             for other in METHODS
             if other != m
         }
+        q05, q25, q75, q95 = np.percentile(j, [5, 25, 75, 95]).tolist()
         methods[m] = MethodSummary(
             median=float(np.median(j)),
             mean=float(np.mean(j)),
-            q05=float(np.percentile(j, 5)),
-            q25=float(np.percentile(j, 25)),
-            q75=float(np.percentile(j, 75)),
-            q95=float(np.percentile(j, 95)),
+            q05=q05,
+            q25=q25,
+            q75=q75,
+            q95=q95,
             win_rate=win_rate,
             density=density,
             cdf_values=order,

@@ -8,6 +8,7 @@ inverse call LAPACK's dpotrf, dpotrs and dpotri directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ JITTER_GROWTH = 10.0
 
 #: Maximum number of jittered retries after the plain attempt.
 MAX_JITTER_RETRIES = 8
+
+#: By default, jitter escalates up to this fraction of the matrix's largest
+#: diagonal entry.
+MAX_JITTER_FRACTION = 1e-5
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,13 @@ class PsdFactor:
         return self.lower_triangular.shape[0]
 
 
-def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
+def default_max_jitter(a: np.ndarray) -> float:
+    """``MAX_JITTER_FRACTION`` of the largest diagonal entry, floored at 1e-30."""
+    diag_max = float(a.diagonal().max()) if a.size else 0.0
+    return MAX_JITTER_FRACTION * max(diag_max, 1e-30)
+
+
+def factor_psd(a: np.ndarray, max_jitter: float | None = None) -> PsdFactor:
     """Factor a symmetric matrix, escalating diagonal jitter on failure.
 
     Only the lower triangle of the input is read, as by LAPACK's dpotrf, so
@@ -58,8 +69,10 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     ----------
     a : ndarray, shape (n, n)
         Symmetric matrix; its strict upper triangle is ignored.
-    max_jitter : float
-        Largest diagonal addition allowed before giving up.
+    max_jitter : float or None
+        Largest diagonal addition allowed before giving up.  By default
+        :func:`default_max_jitter` of ``a``, computed only if the plain
+        Cholesky fails.
 
     Returns
     -------
@@ -83,6 +96,8 @@ def factor_psd(a: np.ndarray, max_jitter: float) -> PsdFactor:
     if info == 0:
         return PsdFactor(lower_triangular=lower, jitter_used=0.0)
 
+    if max_jitter is None:
+        max_jitter = default_max_jitter(a)
     diag_max = float(a.diagonal().max())
     base = 1e-12 * diag_max if diag_max > 0 else 1e-12
     jitter = 0.0
@@ -114,22 +129,28 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     ``b`` may be a vector of length n or an (n, m) matrix; the result has
     the same shape.  A non-finite ``b`` or factor raises ``ValueError``.
     """
-    return _solve_factored(f, _rhs(f, b))
-
-
-def _solve_factored(f: PsdFactor, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_psd` for a float ``b`` whose shape the caller has checked.
-
-    The evidence's hot path (``gp._condition``) calls it directly.
-    """
-    if f.n == 0:
-        return b.copy()
-    # A non-finite entry of a Cholesky factor makes the diagonal entry of
-    # its row non-finite, so the diagonal stands for the whole factor.
-    if not (np.isfinite(b).all() and np.isfinite(f.lower_triangular.diagonal()).all()):
+    b = _rhs(f, b)
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
+    return _solve_factored(f, b)[0]
+
+
+def _solve_factored(f: PsdFactor, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`solve_psd` for a finite float ``b`` whose shape the caller has
+    checked, and :func:`log_det` of the factor.
+
+    The evidence's hot path (``gp._condition``) calls it directly.  One
+    scan of the factor's diagonal serves both the log-determinant and the
+    finiteness guard: a non-finite entry of a Cholesky factor makes the
+    diagonal entry of its row non-finite, and with it the log-determinant.
+    """
+    logdet = log_det(f)
+    if not math.isfinite(logdet):
+        raise ValueError("array must not contain infs or NaNs")
+    if f.n == 0:
+        return b.copy(), logdet
     x, _ = dpotrs(f.lower_triangular, b, lower=1)
-    return x
+    return x, logdet
 
 
 def inverse_psd(f: PsdFactor) -> np.ndarray:

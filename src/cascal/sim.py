@@ -14,6 +14,7 @@ take their defaults from it and check their arguments by building one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ class SensorTruth(Record):
 
     reading(p) = p + sum_k sin_coeffs[k]*sin(freqs[k]*p)
                    + cos_coeffs[k]*cos(freqs[k]*p) + noise
+
+    The bracketing grid of each checked range is built once and kept,
+    read-only, for the life of the sensor.
     """
 
     sin_coeffs: np.ndarray
@@ -63,6 +67,10 @@ class SensorTruth(Record):
             raise ValueError("coefficient and frequency vectors must match in length")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
+
+    @functools.cached_property
+    def _grids(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -167,15 +175,23 @@ def _padded_range(rng_range: tuple) -> tuple:
 
 
 def _monotone_grid(t: SensorTruth, rng_range: tuple) -> tuple:
-    """Grid and values for bracketing; raises NonMonotonic if not increasing."""
+    """Grid and values for bracketing; raises NonMonotonic if not increasing.
+
+    Built once per sensor and range: a trial checks, then twice inverts,
+    its device sensor over the same range.
+    """
     lo, hi = _padded_range(rng_range)
-    grid = np.linspace(lo, hi, MONOTONE_GRID)
-    vals = sensor_eval(t, grid)
-    if not np.all(np.diff(vals) > 0):
-        raise NonMonotonic(
-            "sensor response is not strictly increasing on the padded range"
-        )
-    return grid, vals
+    grids = t._grids
+    if (lo, hi) not in grids:
+        grid = np.linspace(lo, hi, MONOTONE_GRID)
+        vals = sensor_eval(t, grid)
+        if not np.all(np.diff(vals) > 0):
+            raise NonMonotonic(
+                "sensor response is not strictly increasing on the padded range"
+            )
+        grid.flags.writeable = vals.flags.writeable = False
+        grids[lo, hi] = grid, vals
+    return grids[lo, hi]
 
 
 def is_monotone(t: SensorTruth) -> bool:

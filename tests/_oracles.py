@@ -6,7 +6,9 @@ uses ``slogdet``, so agreement with the package is a two-route check.
 The exceptions are the references for the hyperparameter *search*,
 ``optimize_nelder_mead`` and ``optimize_scipy_minimize``: they maximize the
 package's own evidence, so that only the search differs from the
-package's.
+package's; and ``condition_reference``, the evidence evaluation as it was
+before it kept each training set's fixed quantities, which the package
+must match bit for bit.
 """
 
 import math
@@ -18,6 +20,7 @@ from cascal import gp
 from cascal.errors import OptimizationFailed
 from cascal.gp import OptimizerConfig, log_marginal_likelihood
 from cascal.kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
+from cascal.numerics import factor_psd, inverse_psd, log_det, solve_psd
 
 
 def gram(ts, hp, jitter=0.0):
@@ -172,3 +175,43 @@ def optimize_scipy_minimize(
             "no optimizer start produced a finite log marginal likelihood"
         )
     return best_hp
+
+
+def condition_reference(ts, hp, mean, with_grad=False):
+    """``gp._condition`` as it was when every call rebuilt everything.
+
+    Verbatim but for three inlined helpers: the kernel matrix by its
+    earlier formula, ``k = (-0.5 * s) * s`` over s = (a - b) / length_scale;
+    the jitter cap, 1e-5 of the Gram matrix's largest diagonal entry,
+    computed before factoring; and the checked solve, ``solve_psd``.  The
+    package's evaluation must give the same bits.
+    """
+    n = ts.n
+    diff = ts.inputs[:, None] - ts.inputs[None, :]
+    diff /= hp.length_scale
+    k = -0.5 * diff
+    k *= diff
+    np.exp(k, out=k)
+    k *= hp.signal_variance
+    gram = k + ts.target_cov
+    gram.flat[:: n + 1] += hp.noise_variance
+    diag_max = float(gram.diagonal().max()) if gram.size else 0.0
+    factor = factor_psd(gram, max_jitter=1e-5 * max(diag_max, 1e-30))
+    residual = ts.targets - eval_prior_mean(mean, ts.inputs)
+    alpha = solve_psd(factor, residual)
+    lml = float(-0.5 * residual @ alpha - 0.5 * log_det(factor) - 0.5 * n * gp.LOG_2PI)
+    grad = None
+    if with_grad:
+        kinv = inverse_psd(factor)
+        trace_kinv = kinv.trace()
+        scaled_sq = np.square(
+            (ts.inputs[:, None] - ts.inputs[None, :]) / hp.length_scale
+        )
+        k_sq = k * scaled_sq
+        grad = 0.5 * np.array([
+            alpha @ k_sq @ alpha - 2.0 * (kinv * k_sq).sum(),
+            alpha @ k @ alpha - 2.0 * (kinv * k).sum()
+            + hp.signal_variance * trace_kinv,
+            hp.noise_variance * (alpha @ alpha - trace_kinv),
+        ])
+    return gp._Conditioned(factor, alpha, lml, grad)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cascal import cascade, lut, montecarlo, sim
+from cascal import cascade, gp, lut, montecarlo, sim
 from cascal.cascade import CascadeConfig
 from cascal.cli import RunConfig, main
 from cascal.montecarlo import TrialConfig, TrialResult
@@ -179,6 +180,18 @@ class TestSimulate:
             TRIALS_HEAD + "0,nan,nan,nan,NonMonotonic: 0\n1,nan,nan,nan,NonMonotonic: 1\n"
         )
         assert not (out / "summary.json").exists()
+
+    def test_changed_scipy_routine_exits_1_with_one_line(self, tmp_path, monkeypatch):
+        def changed(*args):
+            raise TypeError("setulb() takes 18 positional arguments")
+
+        monkeypatch.setattr(gp, "setulb", changed)
+        result = invoke("simulate", "--trials", 1, "--out", tmp_path / "o")
+        assert result.exit_code == 1
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("Error: ")
+        assert f"scipy {scipy.__version__}" in result.stderr
+        assert "18 positional" in result.stderr
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"

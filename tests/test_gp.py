@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -327,7 +328,7 @@ class TestOptimizeHyperparameters:
         def broken(*args, **kwargs):
             raise TypeError("broken kernel")
 
-        monkeypatch.setattr(gp, "kernel_matrix", broken)
+        monkeypatch.setattr(gp, "se_from_scaled", broken)
         ts, hp, _ = random_problem(11, 8)
         with pytest.raises(TypeError, match="broken kernel"):
             optimize_hyperparameters(ts, hp)
@@ -427,6 +428,92 @@ class TestLeanCondition:
             _oracles.predict_mean_bruteforce(ts, hp, IDENTITY, y_star, jitter),
             rtol=0, atol=1e-5,
         )
+
+
+def campaign_sets(seed, n_grid, edge_remove, center_remove, n1):
+    """A trial's three training sets: stage one, bayes and alt1 stage two."""
+    pair, _ = sim.sample_truth_pair(seed)
+    d1 = sim.generate_d1(pair, n1, sim.substream(seed, 1))
+    d2 = sim.generate_d2(pair, n_grid, edge_remove, center_remove, sim.substream(seed, 2))
+    stage_one = cascade.calibrate_stage_one(d2)
+    return {
+        "stage one": TrainingSet.exact(d2.x, d2.y),
+        "bayes": cascade.propagate(d1, stage_one),
+        "alt1": cascade.calibrate_alternative1(d1, d2, stage_one=stage_one).stage_two.train,
+    }
+
+
+def counted(calls, fn):
+    """``fn``, appending to ``calls`` on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestConditionBitIdentity:
+    """The evidence keeps each training set's fixed quantities, and gives
+    the bits of the evaluation that rebuilt them in every call."""
+
+    @staticmethod
+    def assert_identical(ts, hp, mean=IDENTITY):
+        for with_grad in (False, True):
+            ours = _condition(ts, hp, mean, with_grad)
+            ref = _oracles.condition_reference(ts, hp, mean, with_grad)
+            assert ours.lml == ref.lml
+            np.testing.assert_array_equal(ours.alpha, ref.alpha)
+            np.testing.assert_array_equal(
+                ours.factor.lower_triangular, ref.factor.lower_triangular
+            )
+            assert ours.factor.jitter_used == ref.factor.jitter_used
+            if with_grad:
+                np.testing.assert_array_equal(ours.grad, ref.grad)
+            else:
+                assert ours.grad is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "sizes", [(40, 3, 8, 30), (100, 8, 20, 100)], ids=["26/30", "64/100"]
+    )
+    def test_campaign_sets(self, monkeypatch, seed, sizes):
+        for name, ts in campaign_sets(seed, *sizes).items():
+            hp0 = default_hp0(ts, IDENTITY)
+            hp = optimize_hyperparameters(ts, hp0)
+            for h in (hp0, hp, dataclasses.replace(hp, noise_variance=0.0),
+                      Hyperparameters(3.0 * hp.length_scale, hp.signal_variance, 1e-12),
+                      Hyperparameters(1e-3, 10.0, hp.noise_variance)):
+                self.assert_identical(ts, h)
+            # a search through the reference takes the same path
+            for fix_noise in (None, 0.0):
+                searches = []
+                for condition in (_oracles.condition_reference, _condition):
+                    calls = []
+                    with monkeypatch.context() as m:
+                        m.setattr(gp, "_condition", counted(calls, condition))
+                        found = optimize_hyperparameters(ts, hp0, fix_noise=fix_noise)
+                    searches.append((found, len(calls)))
+                assert searches[0] == searches[1], name
+
+    def test_jittered_gram(self):
+        x = np.array([0.2, 0.2, 0.8])
+        ts = TrainingSet.exact(x, x + 0.1 * np.sin(5.0 * x))
+        hp = Hyperparameters(length_scale=0.1, signal_variance=1.0, noise_variance=0.0)
+        assert _condition(ts, hp, IDENTITY).factor.jitter_used > 0
+        self.assert_identical(ts, hp)
+
+    def test_empty_set(self):
+        self.assert_identical(empty_ts(), HP)
+
+    def test_other_prior_means_keep_their_own_residual(self):
+        ts, hp, _ = random_problem(14, 9)
+        for mean in (IDENTITY, PriorMean.zero(), PriorMean.affine(0.5, 0.1), IDENTITY):
+            self.assert_identical(ts, hp, mean)
+
+    def test_cached_quantities_are_read_only(self):
+        ts, _, _ = random_problem(15, 6)
+        for array in (ts.differences, ts.residual(IDENTITY)):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestSearchParity:

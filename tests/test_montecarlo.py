@@ -3,8 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from cascal import montecarlo, sim
-from cascal.errors import ConfigError, DatasetFormatError, EmptyCampaign
+from cascal import gp, montecarlo, sim
+from cascal.errors import ConfigError, DatasetFormatError, EmptyCampaign, ScipyIncompatible
 from cascal.montecarlo import (
     METHODS,
     TrialConfig,
@@ -78,6 +78,15 @@ class TestRunTrial:
 
 
 class TestRunCampaign:
+    def test_changed_scipy_routine_propagates(self, monkeypatch):
+        # every trial would fail alike, so it is no flag on one draw
+        def changed(*args):
+            raise TypeError("setulb() takes 18 positional arguments")
+
+        monkeypatch.setattr(gp, "setulb", changed)
+        with pytest.raises(ScipyIncompatible, match="18 positional"):
+            run_trial(0, SMALL)
+
     def test_single_trial_equals_run_trial(self):
         campaign = run_campaign(1, 11, SMALL)
         assert campaign == [run_trial(11, SMALL)]

@@ -137,6 +137,40 @@ def invert_brentq(t, y, rng_range=(0.0, 1.0)):
     ])
 
 
+class TestBracketingGrid:
+    def test_built_once_per_sensor_in_a_trial(self, monkeypatch):
+        grids = []
+        real = sim.sensor_eval
+
+        def counted(t, y):
+            if np.size(y) == sim.MONOTONE_GRID:
+                grids.append(t)
+            return real(t, y)
+
+        monkeypatch.setattr(sim, "sensor_eval", counted)
+        pair, rejected = sample_truth_pair(3)
+        generate_d1(pair, 30, substream(3, 1))
+        cost_j(lambda grid: grid, pair, 501)
+        assert rejected == 0
+        assert len(grids) == 2
+        assert grids[0] is pair.sensor1 and grids[1] is pair.sensor2
+
+    def test_kept_grid_inverts_as_a_fresh_one(self):
+        pair, _ = sample_truth_pair(5)
+        y = np.linspace(0.1, 0.9, 257)
+        first = true_f13(pair, y)
+        fresh = SensorTruth.from_dict(pair.sensor1.to_dict())
+        np.testing.assert_array_equal(true_f13(pair, y), first)
+        np.testing.assert_array_equal(invert_sensor(fresh, y), first)
+
+    def test_non_monotone_rejected_every_time(self):
+        bad = SensorTruth(np.array([1.0]), np.array([0.0]), np.array([10.0]), 0.0)
+        for _ in range(2):
+            assert not is_monotone(bad)
+            with pytest.raises(NonMonotonic):
+                invert_sensor(bad, 0.5)
+
+
 class TestInvertSensorAgainstBrent:
     @pytest.mark.parametrize("seed", range(8))
     def test_truth_pairs_at_quadrature_grid(self, seed):
