@@ -40,10 +40,10 @@ __version__ = "0.1.0"
 
 
 def _submodule(name: str):
-    # __import__, not importlib.import_module: the command's `from . import`
-    # lands here, and through import_module the numpy and scipy imports
-    # below it read about 0.1 s slower in bench/run.py's import_s (2 vCPU;
-    # the cause was not found).
+    # The command's `from . import` lands here.  __import__ and
+    # importlib.import_module read the same bench/run.py import_s, a median
+    # 0.115 s over 12 alternating fresh runs each (2 vCPU); import_module was
+    # 0.1 s slower while the package still imported scipy.optimize.
     full = f"{__name__}.{name}"
     __import__(full)
     return sys.modules[full]

@@ -176,8 +176,16 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
         values["trials"] = FULL_SCALE_TRIALS
     cfg = build_config(config_path, strict_paper=strict_paper, **values)
     out = Path(out_dir)
+    made = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    results = montecarlo.run_campaign(cfg.trials, cfg.seed, cfg, cfg.parallel)
+    try:
+        results = montecarlo.run_campaign(cfg.trials, cfg.seed, cfg, cfg.parallel)
+    except BaseException:
+        # A campaign that stops, say on ScipyIncompatible, leaves no
+        # directory behind that this run made.
+        for p in made:
+            p.rmdir()
+        raise
     # trials.csv first: its flags explain an all-flagged campaign.
     montecarlo.write_trials_csv(results, out / "trials.csv")
     summary = montecarlo.summarize(results, cfg.n_bins)

@@ -9,9 +9,14 @@ lets a second regression stage consume the uncertainty of a first one.
 Hyperparameters are selected by empirical Bayes: a bounded quasi-Newton
 search maximizes the log marginal likelihood in log-parameter space, from
 several deterministic starting points, driven by its analytic gradient.
-The search drives scipy's L-BFGS-B routine directly and takes the iterates
-of ``scipy.optimize.minimize``.  Fitting, the evidence and its gradient
-share one conditioning path, so each evaluation factors the Gram matrix once.
+The search drives scipy's L-BFGS-B routine, ``setulb``, directly and takes
+the iterates of ``scipy.optimize.minimize``.  The routine comes from scipy's
+compiled module ``scipy/optimize/_lbfgsb``, loaded from its file by
+``numerics.load_scipy_compiled``: importing ``scipy.optimize`` itself would
+load ``linprog``, ``scipy.sparse`` and ``scipy.special`` with it, which no
+command uses and which took most of a short command's run time.  Fitting,
+the evidence and its gradient share one conditioning path, so each
+evaluation factors the Gram matrix once.
 What does not depend on the hyperparameters (the pairwise input differences
 and the mean-centered residual) is computed once per training set, so an
 evaluation does only the work that the hyperparameters change.
@@ -25,8 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize  # here, not a frame deeper below: 3.11 imports it faster
-from scipy.optimize._lbfgsb import setulb
+import scipy
 
 from ._record import Record, float_array
 from .errors import CascalError, OptimizationFailed, ScipyIncompatible
@@ -38,9 +42,13 @@ from .numerics import (
     default_max_jitter,
     factor_psd,
     inverse_psd,
+    load_scipy_compiled,
     solve_lower,
     solve_psd,
 )
+
+#: scipy's L-BFGS-B routine, which ``_lbfgsb`` drives.
+setulb = load_scipy_compiled("optimize", "_lbfgsb").setulb
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -2,20 +2,56 @@
 
 Every Gram-matrix factorization, solve, inverse and log-determinant in the
 toolkit goes through this module, so the stabilization policy (escalating
-diagonal jitter) lives in exactly one place.  The factor, the solve and the
-inverse call LAPACK's dpotrf, dpotrs and dpotri directly.
+diagonal jitter) lives in exactly one place.  The factor, the solve, the
+inverse and the triangular solve call LAPACK's dpotrf, dpotrs, dpotri and
+dtrtrs directly.
+
+They come from scipy's compiled LAPACK module, ``scipy/linalg/_flapack``,
+which :func:`load_scipy_compiled` loads from its file without running
+``scipy.linalg``'s ``__init__``: that package, and ``scipy.optimize``'s, load
+``scipy.sparse`` and ``scipy.special`` too, 820 modules in all, most of a
+short command's run time.  ``gp`` loads scipy's L-BFGS-B routine the same way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+import scipy
 
 from .errors import DimensionMismatch, NotPositiveDefinite
+
+
+def load_scipy_compiled(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its file.
+
+    The parent package's ``__init__`` does not run, and the module is not
+    registered in ``sys.modules`` here (CPython may record a single-phase
+    extension module there itself).
+
+    Raises
+    ------
+    ImportError
+        If the installed scipy has no such file.
+    """
+    full = f"scipy.{package}.{name}"
+    spec = PathFinder.find_spec(full, [os.path.join(d, package) for d in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module {full}",
+                          name=full)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = load_scipy_compiled("linalg", "_flapack")
+dpotrf, dpotrs, dpotri, dtrtrs = (_flapack.dpotrf, _flapack.dpotrs, _flapack.dpotri,
+                                  _flapack.dtrtrs)
 
 #: Jitter escalation: multiply by this factor each retry.
 JITTER_GROWTH = 10.0
@@ -171,9 +207,20 @@ def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
 
     Half of :func:`solve_psd`: ``sum(X**2, axis=0)`` is the quadratic form
     B' (A + jitter*I)^-1 B column by column, without forming it across
-    columns.
+    columns.  It is LAPACK's dtrtrs, the call ``scipy.linalg.solve_triangular``
+    makes for a Fortran-ordered factor such as :func:`factor_psd`'s.  A
+    non-finite ``b`` or factor raises ``ValueError``.
     """
-    return scipy.linalg.solve_triangular(f.lower_triangular, _rhs(f, b), lower=True)
+    b = _rhs(f, b)
+    lower = f.lower_triangular
+    if not (np.isfinite(b).all() and np.isfinite(lower).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if b.size == 0:
+        return np.zeros_like(b)
+    x, info = dtrtrs(lower, b, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
+    return x
 
 
 def log_det(f: PsdFactor) -> float:

@@ -186,12 +186,22 @@ class TestSimulate:
             raise TypeError("setulb() takes 18 positional arguments")
 
         monkeypatch.setattr(gp, "setulb", changed)
-        result = invoke("simulate", "--trials", 1, "--out", tmp_path / "o")
-        assert result.exit_code == 1
-        assert result.stderr.count("\n") == 1
-        assert result.stderr.startswith("Error: ")
-        assert f"scipy {scipy.__version__}" in result.stderr
-        assert "18 positional" in result.stderr
+        kept, empty = tmp_path / "kept", tmp_path / "empty"
+        kept.mkdir()
+        empty.mkdir()
+        (kept / "notes.txt").write_text("mine\n")
+        for out in (tmp_path / "o", tmp_path / "a" / "b", kept, empty):
+            result = invoke("simulate", "--trials", 1, "--out", out)
+            assert result.exit_code == 1
+            assert result.stderr.count("\n") == 1
+            assert result.stderr.startswith("Error: ")
+            assert f"scipy {scipy.__version__}" in result.stderr
+            assert "18 positional" in result.stderr
+        # the directories the runs made are gone; the ones that were there stay
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "kept"]
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine\n"
+        assert not any(empty.iterdir())
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1067,3 +1077,31 @@ class TestBlasThreads:
 
     def test_user_setting_wins(self):
         assert _fresh_python(self.READ, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+
+class TestScipyImports:
+    """The package loads scipy's two compiled modules it calls, not their packages."""
+
+    UNUSED = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special")
+
+    def test_fit_and_predict_load_no_scipy_package(self, tmp_path):
+        write_identity_csv(tmp_path / "d1.csv", seed=1)
+        write_identity_csv(tmp_path / "d2.csv", seed=2)
+        _write(tmp_path / "in.csv", "x\n0.25\n0.5\n")
+        d = str(tmp_path)
+        code = f"""
+import os, sys, cascal.cli
+d = {d!r}
+for args in (
+    ["calibrate", "--d1", os.path.join(d, "d1.csv"), "--d2", os.path.join(d, "d2.csv"),
+     "--method", "bayesian", "--model", os.path.join(d, "m.json")],
+    ["predict", "--model", os.path.join(d, "m.json"), "--input", os.path.join(d, "in.csv"),
+     "--out", os.path.join(d, "out.csv"), "--with-variance"],
+):
+    cascal.cli.main(args, standalone_mode=False)
+print("loaded:", *(m for m in {self.UNUSED!r} if m in sys.modules))
+"""
+        done = _fresh(["-c", code])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "loaded:"
+        assert (tmp_path / "out.csv").read_text().startswith("x,y_hat,var\n")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from cascal.errors import DimensionMismatch, NotPositiveDefinite
-from cascal.numerics import factor_psd, inverse_psd, log_det, solve_psd
+from cascal.numerics import (PsdFactor, factor_psd, inverse_psd, load_scipy_compiled,
+                             log_det, solve_lower, solve_psd)
 
 from _oracles import random_spd
 
@@ -126,6 +128,67 @@ class TestSolvePsd:
         x = solve_psd(f, a @ x0)
         err = np.linalg.norm(x - x0) / np.linalg.norm(x0)
         assert err <= 1e-8
+
+
+class TestSolveLower:
+    """``solve_lower`` is ``scipy.linalg.solve_triangular`` on the factor, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,)])
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_matches_solve_triangular(self, rng, shape, jittered):
+        n = 8
+        if jittered:
+            x = rng.normal(size=(n, 3))
+            f = factor_psd(x @ x.T)
+            assert f.jitter_used > 0.0
+        else:
+            f = factor_psd(random_spd(rng, n))
+        b = rng.normal(size=(*shape, n))  # b.T: 1-D or (n, m) F-ordered
+        for rhs in (b.T, np.ascontiguousarray(b.T)):
+            got = solve_lower(f, rhs)
+            ref = scipy.linalg.solve_triangular(f.lower_triangular, rhs, lower=True)
+            assert got.shape == rhs.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_empty(self):
+        assert solve_lower(factor_psd(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
+        f = factor_psd(np.eye(3))
+        assert solve_lower(f, np.zeros((3, 0))).shape == (3, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_rejected(self, bad):
+        """As ``solve_triangular``'s ``check_finite`` did, for either operand."""
+        f = factor_psd(np.array([[4.0, 2.0], [2.0, 3.0]]), max_jitter=0.0)
+        with pytest.raises(ValueError):
+            solve_lower(f, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            solve_lower(f, np.array([[bad], [0.0]]))
+        lower = np.array([[2.0, 0.0], [1.0, bad]], order="F")
+        with pytest.raises(ValueError):
+            solve_lower(PsdFactor(lower, 0.0), np.ones(2))
+
+    def test_singular_factor_raises(self):
+        lower = np.array([[2.0, 0.0], [1.0, 0.0]], order="F")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_lower(PsdFactor(lower, 0.0), np.ones(2))
+
+    def test_wrong_shape_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            solve_lower(factor_psd(np.eye(3)), np.ones(4))
+
+
+class TestLoadScipyCompiled:
+    def test_loads_the_module_scipy_uses(self):
+        flapack = load_scipy_compiled("linalg", "_flapack")
+        assert flapack.__name__ == "scipy.linalg._flapack"
+        assert flapack.dtrtrs.__doc__ == scipy.linalg.lapack.dtrtrs.__doc__
+
+    @pytest.mark.parametrize("package, name", [("linalg", "_nope"), ("nope", "_flapack")])
+    def test_missing_module_names_module_and_version(self, package, name):
+        with pytest.raises(ImportError) as info:
+            load_scipy_compiled(package, name)
+        assert f"scipy.{package}.{name}" in str(info.value)
+        assert f"scipy {scipy.__version__}" in str(info.value)
 
 
 class TestInversePsd:
