@@ -40,10 +40,7 @@ __version__ = "0.1.0"
 
 
 def _submodule(name: str):
-    # The command's `from . import` lands here.  __import__ and
-    # importlib.import_module read the same bench/run.py import_s, a median
-    # 0.115 s over 12 alternating fresh runs each (2 vCPU); import_module was
-    # 0.1 s slower while the package still imported scipy.optimize.
+    # The command's `from . import` lands here: load the module on first use.
     full = f"{__name__}.{name}"
     __import__(full)
     return sys.modules[full]

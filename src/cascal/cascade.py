@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gp
 from ._record import Record, finite, read_json, read_table, write_json, write_table
+from .errors import DatasetFormatError
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
 
@@ -163,9 +164,12 @@ def calibrate_alternative1(
 def load_dataset_csv(path) -> CalibrationDataset:
     """Read a dataset from the ``x`` and ``y`` columns of a CSV file.
 
-    Raises DatasetFormatError naming the offending (1-based) file line.
+    Raises DatasetFormatError naming the offending (1-based) file line, or
+    the file if it holds fewer than 2 rows.
     """
     rows = [cells for _, cells in read_table(path, {"x": finite, "y": finite})]
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: a dataset needs at least 2 rows, got {len(rows)}")
     xy = np.array(rows, dtype=float).reshape(-1, 2)
     return CalibrationDataset(x=xy[:, 0], y=xy[:, 1])
 

@@ -188,18 +188,19 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
         raise
     # trials.csv first: its flags explain an all-flagged campaign.
     montecarlo.write_trials_csv(results, out / "trials.csv")
-    summary = montecarlo.summarize(results, cfg.n_bins)
-    montecarlo.write_summary_json(summary, out / "summary.json")
+    _summarize(out / "trials.csv", out / "summary.json", cfg.n_bins)
     if dump_truth:
         for r in results:
             pair, _ = sim.sample_truth_pair(
                 r.seed, cfg.n_terms, cfg.coeff_var, cfg.freq_var, cfg.noise_var
             )
             sim.save_truth_pair(pair, out / f"truth_{r.seed}.json")
-    _print_summary(summary)
 
 
-def _print_summary(summary: montecarlo.CampaignSummary) -> None:
+def _summarize(trials_path, out_path, n_bins: int) -> None:
+    """summary.json from a trials.csv as read back, and its medians printed."""
+    summary = montecarlo.summarize(montecarlo.read_trials_csv(trials_path), n_bins)
+    montecarlo.write_summary_json(summary, out_path)
     click.echo(f"trials: {summary.n_trials} ok, {summary.n_flagged} flagged")
     for name in montecarlo.METHODS:
         m = summary.methods[name]
@@ -272,10 +273,8 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     cfg = build_config(config_path, n_quad=n_quad)
     model = cascade.load_model(model_path)
     pair = sim.load_truth_pair(truth_path)
-    j = sim.cost_j(model.apply, pair, cfg.n_quad)
+    grid, err, j = sim.score(model.apply, pair, cfg.n_quad)
     if errors_path:
-        grid = sim._device_grid(pair, cfg.n_quad)
-        err = np.asarray(model.apply(grid)) - sim.true_f13(pair, grid)
         write_table(errors_path, ["y1", "error"], zip(grid.tolist(), err.tolist()))
     click.echo(f"J = {j:.9e}")
 
@@ -289,11 +288,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
 @_config
 def summarize(trials_path, out_path, n_bins, config_path) -> None:
     """Recompute summary statistics from a trials.csv file."""
-    cfg = build_config(config_path, n_bins=n_bins)
-    results = montecarlo.read_trials_csv(trials_path)
-    summary = montecarlo.summarize(results, cfg.n_bins)
-    montecarlo.write_summary_json(summary, out_path)
-    _print_summary(summary)
+    _summarize(trials_path, out_path, build_config(config_path, n_bins=n_bins).n_bins)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,9 @@ several deterministic starting points, driven by its analytic gradient.
 The search drives scipy's L-BFGS-B routine, ``setulb``, directly and takes
 the iterates of ``scipy.optimize.minimize``.  The routine comes from scipy's
 compiled module ``scipy/optimize/_lbfgsb``, loaded from its file by
-``numerics.load_scipy_compiled``: importing ``scipy.optimize`` itself would
-load ``linprog``, ``scipy.sparse`` and ``scipy.special`` with it, which no
-command uses and which took most of a short command's run time.  Fitting,
-the evidence and its gradient share one conditioning path, so each
-evaluation factors the Gram matrix once.
+``numerics.load_scipy_compiled`` without ``scipy.optimize`` and the
+packages it loads.  Fitting, the evidence and its gradient share one
+conditioning path, so each evaluation factors the Gram matrix once.
 What does not depend on the hyperparameters (the pairwise input differences
 and the mean-centered residual) is computed once per training set, so an
 evaluation does only the work that the hyperparameters change.
@@ -357,15 +355,19 @@ _NUMERICAL_ERRORS = (CascalError, ValueError, np.linalg.LinAlgError)
 _PGTOL = 1e-9
 
 
-def _lbfgsb(objective, x0, f0, g0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
-    """Minimize objective / max(1, |f0|) in the box from x0, where it is f0, g0.
+def _lbfgsb(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
+    """Minimize objective / max(1, |f(x0)|) in the box from x0.
 
     Calls scipy's L-BFGS-B routine, ``setulb``, as ``scipy.optimize.minimize``
     does, reusing the evaluations at x0 and at the point last evaluated, so
-    it takes the same iterates.  Returns the final x and last f, unscaled.
-    A ``TypeError`` from the routine itself, as from a scipy whose private
-    routine changed its arguments, becomes ``ScipyIncompatible``.
+    it takes the same iterates.  Returns the final x and last f, unscaled,
+    or (x0, inf) when f(x0) is not finite.  A ``TypeError`` from the routine
+    itself, as from a scipy whose private routine changed its arguments,
+    becomes ``ScipyIncompatible``.
     """
+    f0, g0 = objective(x0)
+    if not math.isfinite(f0):
+        return x0, math.inf
     n, m, scale, start = x0.size, 10, max(1.0, abs(f0)), x0.tolist()
     x, f, g, last_x, nfev, nit = x0.copy(), 0.0, np.zeros(n), None, 0, 0
     box = np.full(n, cfg.log_lower), np.full(n, cfg.log_upper), np.full(n, 2, np.int32)
@@ -459,12 +461,8 @@ def optimize_hyperparameters(
 
     x0_center = np.clip(_pack(hp0, fix_noise), lo, hi)
     for offset in cfg.start_offsets:
-        x0 = np.clip(x0_center + offset, lo, hi)
-        f0, g0 = objective(x0)
-        if not np.isfinite(f0):
-            continue
-        x, f_final = _lbfgsb(objective, x0, f0, g0, cfg)
-        if np.isfinite(f_final) and f_final < best_f:
+        x, f_final = _lbfgsb(objective, np.clip(x0_center + offset, lo, hi), cfg)
+        if f_final < best_f:
             best_f = f_final
             best_hp = _unpack(x, fix_noise)
 

@@ -8,9 +8,8 @@ dtrtrs directly.
 
 They come from scipy's compiled LAPACK module, ``scipy/linalg/_flapack``,
 which :func:`load_scipy_compiled` loads from its file without running
-``scipy.linalg``'s ``__init__``: that package, and ``scipy.optimize``'s, load
-``scipy.sparse`` and ``scipy.special`` too, 820 modules in all, most of a
-short command's run time.  ``gp`` loads scipy's L-BFGS-B routine the same way.
+``scipy.linalg``'s ``__init__``, which would load ``scipy.sparse`` and
+``scipy.special`` too.  ``gp`` loads scipy's L-BFGS-B routine the same way.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ which is what makes the accuracy cost computable in simulation while it
 never is on hardware.
 
 ``Problem`` is the one home of the simulated problem's sizes and their
-rules: ``sample_truth``, ``generate_d1``, ``generate_d2`` and ``cost_j``
+rules: ``sample_truth``, ``generate_d1``, ``generate_d2`` and ``score``
 take their defaults from it and check their arguments by building one.
 """
 
@@ -343,14 +343,15 @@ def true_f13(pair: TruthPair, y1):
     return invert_sensor(pair.sensor1, y1, rng_range=pair.range)
 
 
-def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad):
-    """Normalized root-integrated-squared error of a calibration map.
+def score(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad) -> tuple:
+    """A calibration map's error line and its accuracy cost: (grid, error, J).
 
-    Evaluates the map against the ground-truth correction on an equally
-    spaced grid over the device sensor's noiseless reading range and
-    integrates with the composite trapezoid rule.  A map that returns a
-    stacked ``(k, n_quad)`` array scores k maps against one inversion of
-    the truth, and the result is the array of their k costs.
+    The map is evaluated against the ground-truth correction on ``n_quad``
+    equally spaced device readings over the device sensor's noiseless
+    reading range; J is the normalized root of the squared error integrated
+    by the composite trapezoid rule.  A map that returns a stacked
+    ``(k, n_quad)`` array scores k maps against one inversion of the truth:
+    the error then has k rows, and J is the array of their k costs.
     """
     Problem(n_quad=n_quad)
     grid = _device_grid(pair, n_quad)
@@ -359,7 +360,12 @@ def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad):
         raise NonMonotonic("device sensor range collapsed; cannot evaluate cost")
     err = np.asarray(model_apply(grid), dtype=float) - true_f13(pair, grid)
     cost = np.sqrt(np.trapezoid(err * err, grid, axis=-1) / (y1_hi - y1_lo))
-    return cost if cost.ndim else float(cost)
+    return grid, err, cost if cost.ndim else float(cost)
+
+
+def cost_j(model_apply, pair: TruthPair, n_quad: int = Problem.n_quad):
+    """The accuracy cost J of :func:`score`; a stacked map gets k costs."""
+    return score(model_apply, pair, n_quad)[2]
 
 
 def save_truth_pair(pair: TruthPair, path) -> None:

@@ -358,6 +358,21 @@ class TestCalibrate:
         assert result.exit_code == 2
         assert "row 17" in result.stderr
 
+    @pytest.mark.parametrize("method", ["bayesian", "alt1", "lut"])
+    @pytest.mark.parametrize("option", ["--d1", "--d2"])
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y\n0.5,0.5\n"],
+                             ids=["header-only", "one-row"])
+    def test_dataset_under_two_rows_exits_2(self, identity_files, tmp_path, method,
+                                            option, text):
+        short = _write(tmp_path / "short.csv", text)
+        files = {"--d1": identity_files / "d1.csv", "--d2": identity_files / "d2.csv",
+                 option: short}
+        result = invoke("calibrate", *[a for kv in files.items() for a in kv],
+                        "--method", method, "--model", tmp_path / "m.json")
+        assert result.exit_code == 2, result.output
+        assert f"{short}: a dataset needs at least 2 rows" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_byte_identical_reruns(self, identity_files, tmp_path):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for p in paths:
@@ -565,6 +580,30 @@ class TestEvaluate:
         assert len(rows) == 11
         assert float(rows[0]["error"]) == pytest.approx(0.01, abs=1e-9)
 
+    def test_errors_csv_inverts_the_truth_once(self, tmp_path, monkeypatch):
+        pair, _ = sim.sample_truth_pair(3)
+        truth_path = tmp_path / "truth.json"
+        sim.save_truth_pair(pair, truth_path)
+        model = self.lut_model_file(tmp_path / "m.json", offset=0.01)
+        args = ["evaluate", "--model", model, "--truth", truth_path, "--n-quad", 101]
+        alone = invoke(*args)
+        assert alone.exit_code == 0, alone.output
+        calls = []
+        invert = sim.invert_sensor
+
+        def counted(*a, **k):
+            calls.append(a)
+            return invert(*a, **k)
+
+        monkeypatch.setattr(sim, "invert_sensor", counted)
+        errs = tmp_path / "errors.csv"
+        result = invoke(*args, "--errors-csv", errs)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+        assert result.output == alone.output
+        rows = list(csv.DictReader(open(errs)))
+        assert len(rows) == 101
+
     def test_unknown_lut_extrapolation_exits_2(self, identity_truth, tmp_path):
         model_path = bogus_extrapolation_model(tmp_path / "bad.json")
         result = invoke("evaluate", "--model", model_path, "--truth", identity_truth)
@@ -601,6 +640,22 @@ class TestSummarizeCommand:
         )
         assert result.exit_code == 0, result.output
         assert redone.read_bytes() == (out / "summary.json").read_bytes()
+
+    def test_simulate_summary_is_summarize_of_its_trials_csv(self, tmp_path,
+                                                              monkeypatch):
+        results = [TrialResult(0, 1 / 3, 2 / 7, 0.1 + 0.2),
+                   TrialResult(1, np.nan, np.nan, np.nan, flag="NonMonotonic: 1, x"),
+                   TrialResult(2, 1e-4 / 3, 5e-4 / 7, 2e-3 / 9)]
+        monkeypatch.setattr(montecarlo, "run_campaign", lambda *args: results)
+        out = tmp_path / "out"
+        simulated = invoke("simulate", "--trials", 3, "--out", out)
+        assert simulated.exit_code == 0, simulated.output
+        redone = tmp_path / "summary2.json"
+        summarized = invoke("summarize", "--trials", out / "trials.csv", "--out", redone)
+        assert summarized.exit_code == 0, summarized.output
+        assert redone.read_bytes() == (out / "summary.json").read_bytes()
+        assert simulated.output == summarized.output
+        assert "trials: 2 ok, 1 flagged" in simulated.output
 
     def test_missing_file_exits_2(self, tmp_path):
         result = invoke(

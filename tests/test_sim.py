@@ -350,6 +350,26 @@ class TestCostJ:
         assert stacked.shape == (3,)
         assert stacked.tolist() == alone
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_score_is_cost_j_with_its_error_line(self, seed):
+        # J and errors.csv come from one scorer: its J is cost_j's, bit for
+        # bit, and its error rows are each map's error on its grid.
+        pair, _ = sample_truth_pair(seed)
+        d1 = generate_d1(pair, 20, substream(seed, 1))
+        d2 = generate_d2(pair, 30, 3, 6, substream(seed, 2))
+        maps = [cascade.calibrate_cascaded(d1, d2).apply,
+                lut.calibrate_lut_cascade(d1, d2).apply]
+        stack = lambda y: np.stack([f(y) for f in maps])
+        grid, err, j = sim.score(stack, pair, 501)
+        assert j.tolist() == cost_j(stack, pair, 501).tolist()
+        truth = true_f13(pair, grid)
+        for f, row, j_f in zip(maps, err, j.tolist()):
+            grid_f, err_f, alone = sim.score(f, pair, 501)
+            assert alone == j_f == cost_j(f, pair, 501)
+            np.testing.assert_array_equal(grid_f, grid)
+            np.testing.assert_array_equal(err_f, row)
+            np.testing.assert_array_equal(row, f(grid) - truth)
+
 
 class TestDeterminism:
     def test_datasets_reproduce_bitwise(self):
