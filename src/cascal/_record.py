@@ -6,7 +6,8 @@ records and ``dict[str, T]`` (written, never read back) are objects.
 Decoding is strict, so a file loads with exactly the values it holds: a
 bool or str only from its own JSON type, a number never from a bool, an
 int only from an integral number and every float finite, array entries
-too.  A failure names the field.
+too.  A failure names the field.  Arrays from the Python API follow the
+same rule, through :func:`set_vectors`.
 
 Every JSON file read (model, truth, config) goes through :func:`read_json`,
 and any failure to parse or decode one, deep nesting included, names the
@@ -63,6 +64,19 @@ def float_array(name, value, ndim: int = 1) -> np.ndarray:
         except (ValueError, OverflowError):
             pass
     raise ValueError(f"{name} must be a {ndim}-d list of finite numbers")
+
+
+def set_vectors(record, *names) -> None:
+    """Set the named fields of frozen ``record`` to flat float arrays, each
+    finite and as long as the first, or raise ValueError naming the field."""
+    for name in names:
+        array = np.asarray(getattr(record, name), dtype=float).ravel()
+        n = len(array) if name == names[0] else n
+        if len(array) != n:
+            raise ValueError(f"{name} has {len(array)} entries, {names[0]} {n}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(record, name, array)
 
 
 def _from_json(name, hint, value):
@@ -158,7 +172,7 @@ def read_table(path, columns: dict):
     the file line, such as ``row 3: non-finite x``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [name.strip() for name in next(reader, [])]
             if not set(columns) <= set(header):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gp
-from ._record import Record, finite, read_json, read_table, write_json, write_table
+from ._record import (Record, finite, read_json, read_table, set_vectors,
+                      write_json, write_table)
 from .errors import DatasetFormatError
 from .kernels import PriorMean
 from .gp import GPPosterior, OptimizerConfig, TrainingSet
@@ -37,14 +38,7 @@ class CalibrationDataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.shape[0] != y.shape[0]:
-            raise ValueError(f"{x.shape[0]} x values but {y.shape[0]} y values")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("dataset values must be finite")
+        set_vectors(self, "x", "y")
 
     @property
     def n(self) -> int:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from ._record import Record, float_array
+from ._record import Record, float_array, set_vectors
 from .errors import CascalError, OptimizationFailed, ScipyIncompatible
 from .kernels import (Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix,
                       se_from_scaled)
@@ -79,24 +79,17 @@ class TrainingSet:
     target_cov: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=float).ravel()
-        targets = np.asarray(self.targets, dtype=float).ravel()
+        set_vectors(self, "inputs", "targets")
         cov = np.asarray(self.target_cov, dtype=float)
-        n = inputs.shape[0]
-        if targets.shape[0] != n:
-            raise ValueError(f"{n} inputs but {targets.shape[0]} targets")
+        n = self.n
         if cov.shape != (n, n):
             raise ValueError(f"target_cov has shape {cov.shape}, expected {(n, n)}")
-        if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
-            raise ValueError("inputs and targets must be finite")
         if not np.all(np.isfinite(cov)):
             raise ValueError("target_cov must be finite")
         asym = float(np.max(np.abs(cov - cov.T), initial=0.0))
         if asym > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(cov), initial=0.0))):
             raise ValueError(f"target_cov is not symmetric (asymmetry {asym:.3e})")
         cov = 0.5 * cov + 0.5 * cov.T  # halving first cannot overflow
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "target_cov", cov)
         factor_psd(cov, max_jitter=default_max_jitter(cov) + 1e-12)  # PSD check
 

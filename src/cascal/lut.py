@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, set_vectors
 from .cascade import CalibrationDataset
 from .errors import DegenerateTable
 
@@ -29,15 +29,10 @@ class LookupTable(Record):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        bp = np.asarray(self.breakpoints, dtype=float).ravel()
-        vals = np.asarray(self.values, dtype=float).ravel()
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-        if bp.shape[0] != vals.shape[0]:
-            raise ValueError("breakpoints and values must have equal length")
-        if bp.shape[0] < 2:
+        set_vectors(self, "breakpoints", "values")
+        if self.breakpoints.shape[0] < 2:
             raise DegenerateTable("a lookup table needs at least 2 breakpoints")
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(np.diff(self.breakpoints) > 0):
             raise ValueError("breakpoints must be strictly increasing")
 
 

@@ -149,12 +149,14 @@ def factor_psd(a: np.ndarray, max_jitter: float | None = None) -> PsdFactor:
 
 
 def _rhs(f: PsdFactor, b) -> np.ndarray:
-    """``b`` as floats, checked to be a vector or matrix with ``f.n`` rows."""
+    """``b`` as floats, checked to be a finite vector or matrix with ``f.n`` rows."""
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != f.n:
         raise DimensionMismatch(
             f"factor is {f.n}x{f.n} but right-hand side has shape {b.shape}"
         )
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
     return b
 
 
@@ -164,10 +166,7 @@ def solve_psd(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     ``b`` may be a vector of length n or an (n, m) matrix; the result has
     the same shape.  A non-finite ``b`` or factor raises ``ValueError``.
     """
-    b = _rhs(f, b)
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _solve_factored(f, b)[0]
+    return _solve_factored(f, _rhs(f, b))[0]
 
 
 def _solve_factored(f: PsdFactor, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,7 +211,7 @@ def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     """
     b = _rhs(f, b)
     lower = f.lower_triangular
-    if not (np.isfinite(b).all() and np.isfinite(lower).all()):
+    if not np.isfinite(lower).all():
         raise ValueError("array must not contain infs or NaNs")
     if b.size == 0:
         return np.zeros_like(b)

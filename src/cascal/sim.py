@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import Record, read_json, write_json
+from ._record import Record, read_json, set_vectors, write_json
 from .cascade import CalibrationDataset
 from .errors import ConfigError, NonMonotonic
 
@@ -57,16 +57,9 @@ class SensorTruth(Record):
     noise_variance: float
 
     def __post_init__(self) -> None:
-        sin_c = np.asarray(self.sin_coeffs, dtype=float).ravel()
-        cos_c = np.asarray(self.cos_coeffs, dtype=float).ravel()
-        freqs = np.asarray(self.freqs, dtype=float).ravel()
-        object.__setattr__(self, "sin_coeffs", sin_c)
-        object.__setattr__(self, "cos_coeffs", cos_c)
-        object.__setattr__(self, "freqs", freqs)
-        if not (sin_c.shape == cos_c.shape == freqs.shape):
-            raise ValueError("coefficient and frequency vectors must match in length")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        set_vectors(self, "freqs", "sin_coeffs", "cos_coeffs")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise ValueError("noise_variance must be finite and >= 0")
 
     @functools.cached_property
     def _grids(self) -> dict:
@@ -225,7 +218,7 @@ def invert_sensor(t: SensorTruth, y_obs, rng_range: tuple = TruthPair.range):
     """
     grid, vals = _monotone_grid(t, rng_range)
     y = np.atleast_1d(np.asarray(y_obs, dtype=float))
-    if np.any(y < vals[0]) or np.any(y > vals[-1]):
+    if not (np.all(y >= vals[0]) and np.all(y <= vals[-1])):  # NaN fails too
         raise ValueError(
             "observation outside the invertible range "
             f"[{vals[0]:.6g}, {vals[-1]:.6g}]"

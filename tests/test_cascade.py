@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cascal import cascade, gp, sim
+from cascal import cascade, gp, lut, sim
 from cascal.cascade import (
     CalibrationDataset,
     CascadeConfig,
@@ -40,6 +40,44 @@ class TestCalibrationDataset:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             CalibrationDataset(np.array([0.0, np.inf]), np.zeros(2))
+
+
+# Each value type with the vector fields it checks and valid other fields.
+VECTOR_TYPES = [
+    (CalibrationDataset, ("x", "y"), {}),
+    (TrainingSet, ("inputs", "targets"), {"target_cov": np.zeros((2, 2))}),
+    (lut.LookupTable, ("breakpoints", "values"), {}),
+    (sim.SensorTruth, ("freqs", "sin_coeffs", "cos_coeffs"), {"noise_variance": 0.0}),
+]
+
+
+@pytest.mark.parametrize("cls, names, others, field", [
+    pytest.param(cls, names, others, field, id=f"{cls.__name__}-{field}")
+    for cls, names, others in VECTOR_TYPES for field in names
+])
+class TestVectorRule:
+    """All four value types coerce and check their vectors by one rule."""
+
+    def vectors(self, names, field, value):
+        return {name: value if name == field else [0.0, 1.0] for name in names}
+
+    def test_non_finite_entry_names_field(self, cls, names, others, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            cls(**self.vectors(names, field, [0.0, np.nan]), **others)
+
+    def test_length_mismatch_names_field(self, cls, names, others, field):
+        if field == names[0]:
+            expected = f"{names[1]} has 2 entries, {field} 3"
+        else:
+            expected = f"{field} has 3 entries, {names[0]} 2"
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            cls(**self.vectors(names, field, [0.0, 1.0, 2.0]), **others)
+
+    def test_vectors_stored_as_flat_float_arrays(self, cls, names, others, field):
+        value = cls(**self.vectors(names, field, [[0], [1]]), **others)
+        for name in names:
+            array = getattr(value, name)
+            assert array.dtype == float and array.shape == (2,)
 
 
 class TestCalibrateStageOne:

@@ -396,6 +396,42 @@ class TestCalibrate:
         assert doc["config"]["stage2_learned_noise"] is False
 
 
+class TestByteOrderMark:
+    """A CSV file that starts with a UTF-8 byte-order mark, as spreadsheet
+    programs write, reads the same rows as one without."""
+
+    def bom_copy(self, path, tmp_path):
+        bom = tmp_path / f"bom-{path.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return bom
+
+    def test_dataset(self, identity_files, tmp_path):
+        d2 = identity_files / "d2.csv"
+        for name, path in [("plain", d2), ("bom", self.bom_copy(d2, tmp_path))]:
+            result = invoke("calibrate", "--d1", identity_files / "d1.csv",
+                            "--d2", path, "--model", tmp_path / f"{name}.json")
+            assert result.exit_code == 0, result.output
+        assert ((tmp_path / "bom.json").read_bytes()
+                == (tmp_path / "plain.json").read_bytes())
+
+    def test_readings(self, identity_model, tmp_path):
+        inp = tmp_path / "in.csv"
+        inp.write_text("x\n0.1\n0.9\n")
+        for name, path in [("plain", inp), ("bom", self.bom_copy(inp, tmp_path))]:
+            result = invoke("predict", "--model", identity_model, "--input", path,
+                            "--out", tmp_path / f"{name}.csv")
+            assert result.exit_code == 0, result.output
+        assert ((tmp_path / "bom.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+    def test_trials(self, tmp_path):
+        trials = tmp_path / "trials.csv"
+        results = [TrialResult(0, 1e-4, 2e-4, 3e-4), TrialResult(1, 2e-4, 1e-4, 5e-4)]
+        montecarlo.write_trials_csv(results, trials)
+        bom = self.bom_copy(trials, tmp_path)
+        assert montecarlo.read_trials_csv(bom) == montecarlo.read_trials_csv(trials)
+
+
 class TestPredict:
     def test_identity_values(self, identity_model, tmp_path):
         inp = tmp_path / "in.csv"

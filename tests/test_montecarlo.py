@@ -72,6 +72,14 @@ class TestRunTrial:
             assert np.isfinite(r.j_for(m))
             assert r.j_for(m) >= 0.0
 
+    @pytest.mark.parametrize("seed, rejected", [(13, 2), (1, 1)])
+    def test_rejected_draws_counts_non_monotone_truths(self, seed, rejected):
+        cfg = TrialConfig(freq_var=150.0, n_grid=40, edge_remove=3,
+                          center_remove=8, n1=30)
+        r = run_trial(seed, cfg)
+        assert r.rejected_draws == rejected
+        assert r.rejected_draws == sim.sample_truth_pair(seed, freq_var=150.0)[1]
+
     def test_invalid_removal_config_propagates(self):
         with pytest.raises(ConfigError):
             run_trial(0, TrialConfig(n_grid=10, edge_remove=4, center_remove=4))

@@ -70,6 +70,11 @@ class TestSampleTruth:
 
 
 class TestSensorRead:
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -1e-8])
+    def test_noise_variance_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise_variance must be finite and >= 0"):
+            identity_sensor(noise)
+
     def test_noiseless_identity(self):
         rng = np.random.default_rng(0)
         assert sensor_read(identity_sensor(), 0.4, rng) == 0.4
@@ -123,6 +128,12 @@ class TestInvertSensor:
     def test_outside_range_rejected(self):
         with pytest.raises(ValueError):
             invert_sensor(identity_sensor(), 5.0)
+
+    @pytest.mark.parametrize("y_obs", [np.nan, np.array([0.2, np.nan, 0.7])],
+                             ids=["scalar", "array"])
+    def test_nan_rejected(self, y_obs):
+        with pytest.raises(ValueError, match="outside the invertible range"):
+            invert_sensor(identity_sensor(), y_obs)
 
 
 def invert_brentq(t, y, rng_range=(0.0, 1.0)):
