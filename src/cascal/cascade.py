@@ -83,6 +83,10 @@ class CascadeModel(Record):
         """Posterior variance of the corrected positions."""
         return gp.predict_var(self.stage_two, y1)
 
+    def apply_with_variance(self, y1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`apply` and :meth:`apply_variance` from one pass over the readings."""
+        return gp.predict_mean_var(self.stage_two, y1)
+
 
 def _fit(ts: TrainingSet, cfg: CascadeConfig, stage_two: bool = True) -> GPPosterior:
     """Evidence-maximized fit; only stage two may pin its noise at 0."""

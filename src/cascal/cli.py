@@ -252,9 +252,11 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
         raise ConfigError("--with-variance requires a regression model; "
                           "lookup tables carry no variance")
     xs = np.array([x for _, (x,) in read_table(input_path, {"x": finite})])
-    columns = {"x": xs, "y_hat": model.apply(xs)}
+    columns = {"x": xs}
     if with_variance:
-        columns["var"] = model.apply_variance(xs)
+        columns["y_hat"], columns["var"] = model.apply_with_variance(xs)
+    else:
+        columns["y_hat"] = model.apply(xs)
     write_table(out_path, list(columns), zip(*(c.tolist() for c in columns.values())))
     click.echo(f"wrote {out_path}")
 

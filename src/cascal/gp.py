@@ -41,7 +41,7 @@ from .numerics import (
     factor_psd,
     inverse_psd,
     load_scipy_compiled,
-    solve_lower,
+    solve_lower_in_place,
     solve_psd,
 )
 
@@ -232,14 +232,72 @@ def fit(ts: TrainingSet, hp: Hyperparameters, mean: PriorMean) -> GPPosterior:
     return GPPosterior(hp=hp, mean=mean, train=ts, gram_factor=c.factor, weights=c.alpha)
 
 
-def predict_mean(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
-    """Posterior mean at query positions."""
+#: Kernel entries in one block of query rows: about 2**16 (512 KiB), so a
+#: block of the cross-kernel k(y*, X) stays in cache while it is used.
+BLOCK_ENTRIES = 2**16
+
+
+def _block_rows(n: int) -> int:
+    """Query rows per block against n training points: a multiple of 64."""
+    return max(64, 64 * (BLOCK_ENTRIES // (64 * n)))
+
+
+def _blocks(m: int, rows: int):
+    """Slices of ``rows`` rows that cover range(m).
+
+    A last block of one row joins the block before it: the BLAS computes a
+    lone row or column by another path, with other bits.  Every other
+    block starts at a multiple of ``rows``, itself a multiple of the BLAS
+    kernels' row groups, so each row is computed as in one call over all m.
+    """
+    start = 0
+    while start < m:
+        stop = start + rows if m - start - rows != 1 else m
+        yield slice(start, stop)
+        start = stop
+
+
+def _predict(p: GPPosterior, y_star, with_var: bool) -> tuple:
+    """Posterior mean, and the variance if asked, in blocks of query rows.
+
+    Each block's cross-kernel k* is formed once.  The mean takes one
+    matrix-vector product from it; the variance then overwrites it with
+    L^-1 k*' and takes signal_variance - sum_i (L^-1 k*')_i^2 (Rasmussen &
+    Williams, Alg. 2.1), clamped at zero.  The result has the bits of a
+    single block for any number of queries, and memory apart from the
+    results is one block.
+    """
     y_star = np.asarray(y_star, dtype=float).ravel()
     mu = eval_prior_mean(p.mean, y_star)
+    var = np.full(y_star.shape, p.hp.signal_variance) if with_var else None
     if p.train.n:
-        k_star = kernel_matrix(y_star, p.train.inputs, p.hp)
-        mu = mu + k_star @ p.weights
-    return mu
+        for block in _blocks(y_star.size, _block_rows(p.train.n)):
+            k_star = kernel_matrix(y_star[block], p.train.inputs, p.hp)
+            mu[block] += k_star @ p.weights
+            if with_var:
+                v = solve_lower_in_place(p.gram_factor, k_star.T)
+                var[block] = np.maximum(var[block] - np.einsum("ij,ij->j", v, v), 0.0)
+                del v
+            # Freed before the next block is made, so that the next reuses
+            # its memory: two blocks' worth makes malloc give pages back to
+            # the system after each call, and fault them in again.
+            del k_star
+    return mu, var
+
+
+def predict_mean(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
+    """Posterior mean at query positions."""
+    return _predict(p, y_star, with_var=False)[0]
+
+
+def predict_mean_var(p: GPPosterior, y_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and latent variance at each query position.
+
+    The mean is :func:`predict_mean`'s, bit for bit; the variance is the
+    diagonal of :func:`predict_cov` without forming the matrix.  Time is
+    linear in the number of query points.
+    """
+    return _predict(p, y_star, with_var=True)
 
 
 def predict_cov(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
@@ -260,20 +318,8 @@ def predict_cov(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
 
 
 def predict_var(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
-    """Posterior variance of the latent function at each query position.
-
-    The diagonal of :func:`predict_cov` without forming the matrix:
-    signal_variance - sum_i (L^-1 k*')_i^2 (Rasmussen & Williams,
-    Alg. 2.1), from the stored factor L and clamped at zero.  Time and
-    memory are linear in the number of query points.
-    """
-    y_star = np.asarray(y_star, dtype=float).ravel()
-    var = np.full(y_star.shape, p.hp.signal_variance)
-    if p.train.n:
-        k_star = kernel_matrix(y_star, p.train.inputs, p.hp)
-        v = solve_lower(p.gram_factor, k_star.T)
-        var = np.maximum(var - np.einsum("ij,ij->j", v, v), 0.0)
-    return var
+    """Posterior variance of the latent function: :func:`predict_mean_var`'s."""
+    return predict_mean_var(p, y_star)[1]
 
 
 def log_marginal_likelihood(

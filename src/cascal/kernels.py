@@ -108,28 +108,31 @@ def kernel_matrix(
     """Pairwise kernel matrix K[p, q] = k(y_a[p], y_b[q]).
 
     When both arguments are the same vector the result is exactly symmetric
-    by construction.
+    by construction.  Positions so far apart that their scaled distance
+    overflows get a covariance of exactly zero, without a warning.
     """
     y_a = np.asarray(y_a, dtype=float).ravel()
     y_b = np.asarray(y_b, dtype=float).ravel()
-    diff = y_a[:, None] - y_b[None, :]
-    diff /= hp.length_scale
-    return se_from_scaled(diff, hp.signal_variance)[0]
+    with np.errstate(over="ignore"):
+        diff = y_a[:, None] - y_b[None, :]
+        diff /= hp.length_scale
+        return se_from_scaled(diff, hp.signal_variance, out=diff)[0]
 
 
 def se_from_scaled(
-    scaled: np.ndarray, signal_variance: float
+    scaled: np.ndarray, signal_variance: float, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared-exponential kernel from scaled differences (a - b) / length_scale.
 
     Returns the kernel signal_variance * exp(-0.5 * sq) and the scaled
     squared distances sq, which overwrite ``scaled``: the evidence's
-    gradient reads them too.
+    gradient reads them too.  The kernel is written to ``out``, a new array
+    by default; ``out=scaled`` gives up sq for one array in all.
     """
     # In place: above glibc's mmap threshold every m x n temporary is a
     # fresh mapping that page-faults on first touch.
     sq = np.square(scaled, out=scaled)
-    k = -0.5 * sq
+    k = np.multiply(sq, -0.5, out=out)
     np.exp(k, out=k)
     k *= signal_variance
     return k, sq

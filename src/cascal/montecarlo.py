@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +151,16 @@ def check_campaign(n_trials: int, base_seed: int) -> None:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if base_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {base_seed}")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures``' process pool, imported on the first call.
+
+    Importing it loads multiprocessing, socket and logging, which only a
+    parallel campaign needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def run_campaign(

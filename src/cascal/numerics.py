@@ -209,13 +209,23 @@ def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
     makes for a Fortran-ordered factor such as :func:`factor_psd`'s.  A
     non-finite ``b`` or factor raises ``ValueError``.
     """
+    return solve_lower_in_place(f, np.array(b, dtype=float, order="F"))
+
+
+def solve_lower_in_place(f: PsdFactor, b: np.ndarray) -> np.ndarray:
+    """:func:`solve_lower` that overwrites ``b`` with X and returns it.
+
+    ``b`` is checked as :func:`solve_lower` checks it.  A Fortran-ordered
+    float ``b``, such as the transpose of a C-ordered block, is solved in
+    its own memory; any other is copied first.
+    """
     b = _rhs(f, b)
     lower = f.lower_triangular
     if not np.isfinite(lower).all():
         raise ValueError("array must not contain infs or NaNs")
     if b.size == 0:
-        return np.zeros_like(b)
-    x, info = dtrtrs(lower, b, lower=1)
+        return b
+    x, info = dtrtrs(lower, b, lower=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (dtrtrs info {info})")
     return x

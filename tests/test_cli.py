@@ -555,6 +555,42 @@ class TestPredict:
         assert result.exit_code == 2
 
 
+    def test_far_readings_predict_the_prior_without_warnings(self, identity_model,
+                                                             tmp_path):
+        # Their scaled distance to every training input overflows, so the
+        # kernel is 0: y_hat = x (the identity prior mean) and var = the
+        # signal variance.
+        doc = json.loads(identity_model.read_text())["stage_two"]
+        assert doc["prior_mean"] == {"variant": "identity"}
+        sv = doc["hyperparameters"]["signal_variance"]
+        far = [1e200, 1e308, -1e308]
+        _write(tmp_path / "in.csv", "x\n0.5\n" + "".join(f"{x!r}\n" for x in far))
+        out = tmp_path / "out.csv"
+        done = _fresh(["-m", "cascal.cli", "predict", "--model", str(identity_model),
+                       "--input", str(tmp_path / "in.csv"), "--out", str(out),
+                       "--with-variance"])
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = list(csv.DictReader(open(out)))[1:]
+        assert [float(r["y_hat"]) for r in rows] == far
+        assert [float(r["var"]) for r in rows] == [sv] * 3
+
+    def test_with_variance_repeats_the_mean_only_columns(self, gappy_model, tmp_path):
+        # several query blocks, the last of one row joined to the one before
+        _, _, model_path, _ = gappy_model
+        b = gp._block_rows(100)
+        xs = np.random.default_rng(3).uniform(-0.05, 1.05, 2 * b + 1)
+        _write(tmp_path / "in.csv", "x\n" + "".join(f"{float(x)!r}\n" for x in xs))
+        outs = []
+        for extra in ([], ["--with-variance"]):
+            out = tmp_path / f"out{len(extra)}.csv"
+            result = invoke("predict", "--model", model_path,
+                            "--input", tmp_path / "in.csv", "--out", out, *extra)
+            assert result.exit_code == 0, result.output
+            outs.append([line.split(",")[:2] for line in out.read_text().splitlines()])
+        assert outs[0] == outs[1]
+        assert len(outs[0]) == xs.size + 1
+
+
 class TestEvaluate:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -1168,6 +1204,16 @@ class TestBlasThreads:
 
     def test_user_setting_wins(self):
         assert _fresh_python(self.READ, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1"]
+
+
+class TestLazyImports:
+    """Only a parallel campaign loads the process pool and what it needs."""
+
+    POOL = ("concurrent.futures.process", "multiprocessing", "socket", "logging")
+
+    def test_import_cli_loads_no_process_pool(self):
+        code = f"import sys, cascal.cli; print('loaded:', *(m for m in {self.POOL!r} if m in sys.modules))"
+        assert _fresh_python(code) == ["loaded:"]
 
 
 class TestScipyImports:

@@ -18,6 +18,7 @@ from cascal.gp import (
     optimize_hyperparameters,
     predict_cov,
     predict_mean,
+    predict_mean_var,
     predict_var,
 )
 from cascal.kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
@@ -180,6 +181,82 @@ class TestPredictCov:
             assert np.all(np.diag(c) <= hp.signal_variance + 1e-10)
             var = predict_var(fit(ts, hp, IDENTITY), y_star)
             assert np.all((var >= 0.0) & (var <= hp.signal_variance + 1e-10))
+
+
+def blocked_models():
+    """A 26-point campaign stage one, and a 100-point model whose factor needed jitter."""
+    ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+    sparse = fit(ts, default_hp0(ts, IDENTITY), IDENTITY)
+    x = np.repeat(np.linspace(0.0, 1.0, 50), 2)  # each input twice, no noise
+    jittered = fit(TrainingSet.exact(x, x + 0.1 * np.sin(5.0 * x)),
+                   Hyperparameters(0.1, 1.0, 0.0), IDENTITY)
+    assert (sparse.train.n, jittered.train.n) == (26, 100)
+    assert sparse.gram_factor.jitter_used == 0 < jittered.gram_factor.jitter_used
+    return {"26 points": sparse, "100 points, jittered": jittered}
+
+
+class TestBlockedPrediction:
+    """Queries run in blocks of rows, each evaluated as a single call would be."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def models():
+        return blocked_models()
+
+    def test_block_rows(self):
+        assert [gp._block_rows(n) for n in (1, 26, 30, 64, 100, 1024, 5000)] == [
+            65536, 2496, 2176, 1024, 640, 64, 64]
+        assert gp._block_rows(30) >= 2001  # the default cost grid stays one block
+
+    @pytest.mark.parametrize("name", ["26 points", "100 points, jittered"])
+    def test_any_length_gives_one_blocks_bits(self, models, monkeypatch, name):
+        p = models[name]
+        b = gp._block_rows(p.train.n)
+        rng = np.random.default_rng(7)
+        for m in (0, 1, b - 1, b, b + 1, 3 * b + 17):
+            y_star = rng.uniform(p.train.inputs.min() - 0.1, p.train.inputs.max() + 0.1, m)
+            blocked = predict_mean(p, y_star), predict_var(p, y_star), predict_mean_var(p, y_star)
+            with monkeypatch.context() as patch:
+                patch.setattr(gp, "_block_rows", lambda n: m + 1)
+                single = predict_mean(p, y_star), predict_var(p, y_star), predict_mean_var(p, y_star)
+            for got, want in zip(blocked[:2] + blocked[2], single[:2] + single[2]):
+                assert got.shape == (m,)
+                np.testing.assert_array_equal(got, want)
+            # the mean half is predict_mean's, as matching prediction files need
+            np.testing.assert_array_equal(blocked[2][0], blocked[0])
+            np.testing.assert_array_equal(blocked[2][1], blocked[1])
+
+    @pytest.mark.parametrize("full, rest, blocks", [(1, 1, 1), (2, 0, 2), (3, 17, 4)])
+    def test_one_kernel_per_block(self, models, monkeypatch, full, rest, blocks):
+        # full * B + rest queries; a last row on its own joins the block before it
+        p = models["100 points, jittered"]
+        b = gp._block_rows(p.train.n)
+        calls = []
+        monkeypatch.setattr(gp, "kernel_matrix", counted(calls, gp.kernel_matrix))
+        predict_mean_var(p, np.linspace(0.0, 1.0, full * b + rest))
+        assert len(calls) == blocks
+
+    def test_memory_is_one_block_beyond_the_results(self, models):
+        import tracemalloc
+
+        p = models["100 points, jittered"]
+        y_star = np.linspace(-0.1, 1.1, 100_000)
+        predict_mean_var(p, y_star[:10])  # warm up
+        tracemalloc.start()
+        try:
+            mean, var = predict_mean_var(p, y_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        results = mean.nbytes + var.nbytes
+        # a full cross-kernel would be 100 x 100k doubles, 80 MB
+        assert peak < results + 4 * 8 * gp.BLOCK_ENTRIES
+
+    def test_empty_model_gives_the_prior(self):
+        p = fit(empty_ts(), HP, IDENTITY)
+        mean, var = predict_mean_var(p, [0.3, -1.0])
+        np.testing.assert_array_equal(mean, [0.3, -1.0])
+        np.testing.assert_array_equal(var, [HP.signal_variance] * 2)
 
 
 class TestLogMarginalLikelihood:

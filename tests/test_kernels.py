@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +119,14 @@ class TestKernelMatrix:
             diff = (ya[:, None] - yb[None, :]) / hp.length_scale
             plain = hp.signal_variance * np.exp(-0.5 * diff * diff)
             np.testing.assert_array_equal(kernel_matrix(ya, yb, hp), plain)
+
+    def test_far_positions_give_zero_without_warning(self):
+        # the difference, or its square, overflows to inf: exp(-inf) = 0
+        hp = Hyperparameters(0.3, 2.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernel_matrix(np.array([1e200, 1e308, 0.0]), np.array([-1e308, 0.0]), hp)
+        np.testing.assert_array_equal(k, [[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
 
     def test_gram_with_noise_is_positive_definite(self):
         y = np.linspace(0, 1, 10)
