@@ -21,7 +21,7 @@ _EXPORTS = {
                "NotPositiveDefinite", "OptimizationFailed", "ScipyIncompatible"),
     "gp": ("GPPosterior", "OptimizerConfig", "TrainingSet", "fit",
            "log_marginal_likelihood", "optimize_hyperparameters", "predict_cov",
-           "predict_mean", "predict_mean_var", "predict_var"),
+           "predict_mean", "predict_mean_var"),
     "kernels": ("Hyperparameters", "PriorMean", "eval_prior_mean", "kernel_matrix",
                 "se_kernel"),
     "lut": ("LookupTable", "LutCascade", "build_lut", "calibrate_lut_cascade",

@@ -18,6 +18,7 @@ numpy loads, and ``--parallel``'s workers inherit them.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -114,8 +115,8 @@ _config = click.option("--config", "config_path", type=click.Path(), default=Non
 _common = [
     _config,
     click.option("--strict-paper", "strict_paper", is_flag=True, default=None,
-                 help="Disable the learned stage-two noise term (the propagated "
-                      "covariance is then the only stage-two uncertainty)."),
+                 help="Pin the stage-two noise at 0 (stage two then sees the "
+                      "propagated covariance plus stage one's noise variance)."),
 ]
 
 
@@ -253,10 +254,20 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
                           "lookup tables carry no variance")
     xs = np.array([x for _, (x,) in read_table(input_path, {"x": finite})])
     columns = {"x": xs}
-    if with_variance:
-        columns["y_hat"], columns["var"] = model.apply_with_variance(xs)
-    else:
-        columns["y_hat"] = model.apply(xs)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        if with_variance:
+            columns["y_hat"], columns["var"] = model.apply_with_variance(xs)
+        else:
+            columns["y_hat"] = model.apply(xs)
+    for name, values in columns.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            # Read again for the file line, which the common path does not keep.
+            i = int(bad[0])
+            line, _ = next(itertools.islice(read_table(input_path, {"x": finite}), i, None))
+            raise DatasetFormatError(
+                f"{input_path}: row {line}: x = {float(xs[i])!r} gives a non-finite {name}"
+            )
     write_table(out_path, list(columns), zip(*(c.tolist() for c in columns.values())))
     click.echo(f"wrote {out_path}")
 

@@ -305,7 +305,8 @@ def predict_cov(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
 
     The result is symmetrized and its diagonal clamped at zero; tiny
     negative eigenvalues from floating-point cancellation are tolerated
-    off-diagonal.
+    off-diagonal.  ``cascade.propagate`` calls it by this name, which
+    ``bench/tracing.py`` wraps.
     """
     y_star = np.asarray(y_star, dtype=float).ravel()
     cov = kernel_matrix(y_star, y_star, p.hp)
@@ -317,11 +318,6 @@ def predict_cov(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
     return cov
 
 
-def predict_var(p: GPPosterior, y_star: np.ndarray) -> np.ndarray:
-    """Posterior variance of the latent function: :func:`predict_mean_var`'s."""
-    return predict_mean_var(p, y_star)[1]
-
-
 def log_marginal_likelihood(
     ts: TrainingSet, hp: Hyperparameters, mean: PriorMean
 ) -> float:
@@ -331,6 +327,9 @@ def log_marginal_likelihood(
     Kt = K + target_cov + noise_variance * I:
 
         -0.5 * r' Kt^-1 r - 0.5 * log|Kt| - n/2 * log(2 pi)
+
+    The search scores hp0 through this name, which ``bench/tracing.py``
+    wraps; its other evaluations call ``_condition`` directly.
     """
     return _condition(ts, hp, mean).lml
 

@@ -200,24 +200,16 @@ def inverse_psd(f: PsdFactor) -> np.ndarray:
     return inv
 
 
-def solve_lower(f: PsdFactor, b: np.ndarray) -> np.ndarray:
-    """Solve L X = B with the stored lower-triangular factor alone.
+def solve_lower_in_place(f: PsdFactor, b: np.ndarray) -> np.ndarray:
+    """Solve L X = B with the stored lower-triangular factor alone, over ``b``.
 
     Half of :func:`solve_psd`: ``sum(X**2, axis=0)`` is the quadratic form
     B' (A + jitter*I)^-1 B column by column, without forming it across
     columns.  It is LAPACK's dtrtrs, the call ``scipy.linalg.solve_triangular``
     makes for a Fortran-ordered factor such as :func:`factor_psd`'s.  A
+    Fortran-ordered float ``b``, such as the transpose of a C-ordered block,
+    is overwritten with X, which is returned; any other is copied first.  A
     non-finite ``b`` or factor raises ``ValueError``.
-    """
-    return solve_lower_in_place(f, np.array(b, dtype=float, order="F"))
-
-
-def solve_lower_in_place(f: PsdFactor, b: np.ndarray) -> np.ndarray:
-    """:func:`solve_lower` that overwrites ``b`` with X and returns it.
-
-    ``b`` is checked as :func:`solve_lower` checks it.  A Fortran-ordered
-    float ``b``, such as the transpose of a C-ordered block, is solved in
-    its own memory; any other is copied first.
     """
     b = _rhs(f, b)
     lower = f.lower_triangular

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cascal import cascade, gp, lut, sim
+from cascal import cascade, gp, lut, montecarlo, sim
 from cascal.cascade import (
     CalibrationDataset,
     CascadeConfig,
@@ -259,6 +259,28 @@ class TestStrictMode:
             model.stage_two.gram_factor.jitter_used,
         )
         np.testing.assert_allclose(model.apply(query), oracle, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_stage_one_noise_joins_the_propagated_covariance(self, strict):
+        d1, d2 = identity_dataset(12, seed=5), identity_dataset(12, seed=6)
+        stage_one = calibrate_stage_one(d2)
+        cfg = CascadeConfig(stage2_learned_noise=not strict)
+        got = calibrate_cascaded(d1, d2, cfg, stage_one=stage_one).stage_two.train
+        want = propagate(d1, stage_one).target_cov
+        if strict:
+            want = want + stage_one.hp.noise_variance * np.eye(d1.n)
+        np.testing.assert_array_equal(got.target_cov, want)
+
+    def test_bayes_beats_alt1_on_sparse_campaign(self):
+        # 26 reference and 30 device points, seeds 0-199: in the paper's
+        # strict formulation too, propagating the covariance beats alt1
+        cfg = montecarlo.TrialConfig(n_grid=40, edge_remove=3, center_remove=8, n1=30,
+                                     strict_paper=True)
+        summary = montecarlo.summarize(montecarlo.run_campaign(200, 0, cfg, max_parallel=1))
+        assert summary.n_flagged == 0
+        bayes = summary.methods["bayes"]
+        assert bayes.median < summary.methods["alt1"].median
+        assert bayes.win_rate["alt1"] >= 0.6
 
 
 class TestApply:

@@ -555,6 +555,28 @@ class TestPredict:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("model, extra", [
+        ("model_bayes.json", []),
+        ("model_bayes.json", ["--with-variance"]),
+        ("model_lut.json", []),
+    ], ids=["bayes", "bayes-with-variance", "lut-slope"])
+    def test_finite_reading_with_non_finite_prediction_exits_2(self, tmp_path, model,
+                                                               extra):
+        # An affine prior mean, and a table that extends its end slopes,
+        # overflow at a finite reading near the float limit.
+        doc = json.loads((GOLDEN / model).read_text())
+        if doc["method_tag"] == lut.METHOD_LUT:
+            doc["config"]["extrapolation"] = "slope"
+        model_path = _write(tmp_path / "m.json", json.dumps(doc))
+        inp = _write(tmp_path / "in.csv", "x\n0.5\n\n1.79e308\n")
+        out = tmp_path / "o.csv"
+        result = invoke("predict", "--model", model_path, "--input", inp, "--out", out,
+                        *extra)
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"Error: {inp}: row 4: x = 1.79e+308 gives a non-finite y_hat"]
+        assert not out.exists()
+
     def test_far_readings_predict_the_prior_without_warnings(self, identity_model,
                                                              tmp_path):
         # Their scaled distance to every training input overflows, so the

@@ -19,7 +19,6 @@ from cascal.gp import (
     predict_cov,
     predict_mean,
     predict_mean_var,
-    predict_var,
 )
 from cascal.kernels import Hyperparameters, PriorMean, eval_prior_mean, kernel_matrix
 
@@ -144,7 +143,7 @@ class TestPredictCov:
             predict_cov(p, y_star), kernel_matrix(y_star, y_star, HP)
         )
         np.testing.assert_array_equal(
-            predict_var(p, y_star), np.full(3, HP.signal_variance)
+            predict_mean_var(p, y_star)[1], np.full(3, HP.signal_variance)
         )
 
     def test_noiseless_variance_pinned_at_training_points(self):
@@ -153,7 +152,7 @@ class TestPredictCov:
         p = fit(ts, hp, IDENTITY)
         var = np.diag(predict_cov(p, ts.inputs))
         assert np.all(var <= 1e-8 * hp.signal_variance)
-        assert np.all(predict_var(p, ts.inputs) <= 1e-8 * hp.signal_variance)
+        assert np.all(predict_mean_var(p, ts.inputs)[1] <= 1e-8 * hp.signal_variance)
 
     def test_matches_bruteforce(self):
         ts, hp, y_star = random_problem(13, 3, m=4)
@@ -165,7 +164,7 @@ class TestPredictCov:
             predict_cov(p, y_star), expected, rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            predict_var(p, y_star), np.diag(expected), rtol=1e-10, atol=1e-12
+            predict_mean_var(p, y_star)[1], np.diag(expected), rtol=1e-10, atol=1e-12
         )
 
     def test_symmetric_and_nonnegative_diagonal(self):
@@ -179,7 +178,7 @@ class TestPredictCov:
             ts, hp, y_star = random_problem(100 + seed, 6, m=8)
             c = predict_cov(fit(ts, hp, IDENTITY), y_star)
             assert np.all(np.diag(c) <= hp.signal_variance + 1e-10)
-            var = predict_var(fit(ts, hp, IDENTITY), y_star)
+            var = predict_mean_var(fit(ts, hp, IDENTITY), y_star)[1]
             assert np.all((var >= 0.0) & (var <= hp.signal_variance + 1e-10))
 
 
@@ -215,10 +214,12 @@ class TestBlockedPrediction:
         rng = np.random.default_rng(7)
         for m in (0, 1, b - 1, b, b + 1, 3 * b + 17):
             y_star = rng.uniform(p.train.inputs.min() - 0.1, p.train.inputs.max() + 0.1, m)
-            blocked = predict_mean(p, y_star), predict_var(p, y_star), predict_mean_var(p, y_star)
+            blocked = (predict_mean(p, y_star), predict_mean_var(p, y_star)[1],
+                       predict_mean_var(p, y_star))
             with monkeypatch.context() as patch:
                 patch.setattr(gp, "_block_rows", lambda n: m + 1)
-                single = predict_mean(p, y_star), predict_var(p, y_star), predict_mean_var(p, y_star)
+                single = (predict_mean(p, y_star), predict_mean_var(p, y_star)[1],
+                          predict_mean_var(p, y_star))
             for got, want in zip(blocked[:2] + blocked[2], single[:2] + single[2]):
                 assert got.shape == (m,)
                 np.testing.assert_array_equal(got, want)
@@ -310,7 +311,7 @@ class TestOracleEquivalence:
             rtol=1e-9, atol=1e-12,
         )
         np.testing.assert_allclose(
-            predict_var(p, y_star),
+            predict_mean_var(p, y_star)[1],
             np.diag(_oracles.predict_cov_bruteforce(ts, hp, IDENTITY, y_star, jit)),
             rtol=1e-10, atol=1e-12,
         )

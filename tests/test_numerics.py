@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from cascal.errors import DimensionMismatch, NotPositiveDefinite
 from cascal.numerics import (PsdFactor, factor_psd, inverse_psd, load_scipy_compiled,
-                             log_det, solve_lower, solve_psd)
+                             log_det, solve_lower_in_place, solve_psd)
 
 from _oracles import random_spd
 
@@ -131,7 +131,8 @@ class TestSolvePsd:
 
 
 class TestSolveLower:
-    """``solve_lower`` is ``scipy.linalg.solve_triangular`` on the factor, bit for bit."""
+    """``solve_lower_in_place`` is ``scipy.linalg.solve_triangular`` on the factor,
+    bit for bit."""
 
     @pytest.mark.parametrize("shape", [(), (1,), (7,)])
     @pytest.mark.parametrize("jittered", [False, True])
@@ -144,37 +145,39 @@ class TestSolveLower:
         else:
             f = factor_psd(random_spd(rng, n))
         b = rng.normal(size=(*shape, n))  # b.T: 1-D or (n, m) F-ordered
-        for rhs in (b.T, np.ascontiguousarray(b.T)):
-            got = solve_lower(f, rhs)
+        for rhs in (b.T.copy(order="F"), np.ascontiguousarray(b.T)):
             ref = scipy.linalg.solve_triangular(f.lower_triangular, rhs, lower=True)
+            got = solve_lower_in_place(f, rhs)
             assert got.shape == rhs.shape
             assert got.tobytes() == ref.tobytes()
+            # solved in the right-hand side's own memory only if F-ordered
+            assert np.shares_memory(got, rhs) == rhs.flags.f_contiguous
 
     def test_empty(self):
-        assert solve_lower(factor_psd(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
+        assert solve_lower_in_place(factor_psd(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
         f = factor_psd(np.eye(3))
-        assert solve_lower(f, np.zeros((3, 0))).shape == (3, 0)
+        assert solve_lower_in_place(f, np.zeros((3, 0))).shape == (3, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_operand_rejected(self, bad):
         """As ``solve_triangular``'s ``check_finite`` did, for either operand."""
         f = factor_psd(np.array([[4.0, 2.0], [2.0, 3.0]]), max_jitter=0.0)
         with pytest.raises(ValueError):
-            solve_lower(f, np.array([1.0, bad]))
+            solve_lower_in_place(f, np.array([1.0, bad]))
         with pytest.raises(ValueError):
-            solve_lower(f, np.array([[bad], [0.0]]))
+            solve_lower_in_place(f, np.array([[bad], [0.0]]))
         lower = np.array([[2.0, 0.0], [1.0, bad]], order="F")
         with pytest.raises(ValueError):
-            solve_lower(PsdFactor(lower, 0.0), np.ones(2))
+            solve_lower_in_place(PsdFactor(lower, 0.0), np.ones(2))
 
     def test_singular_factor_raises(self):
         lower = np.array([[2.0, 0.0], [1.0, 0.0]], order="F")
         with pytest.raises(np.linalg.LinAlgError):
-            solve_lower(PsdFactor(lower, 0.0), np.ones(2))
+            solve_lower_in_place(PsdFactor(lower, 0.0), np.ones(2))
 
     def test_wrong_shape_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve_lower(factor_psd(np.eye(3)), np.ones(4))
+            solve_lower_in_place(factor_psd(np.eye(3)), np.ones(4))
 
 
 class TestLoadScipyCompiled:
