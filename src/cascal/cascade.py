@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp
+from . import gp, lut
 from ._record import (Record, finite, read_json, read_table, set_vectors,
                       write_json, write_table)
 from .errors import DatasetFormatError
@@ -185,23 +185,18 @@ def save_dataset_csv(ds: CalibrationDataset, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-#: Kept because ``bench/tracing.py`` wraps it by name for its load timing;
-#: ``load_model`` looks it up on every call.
-model_from_dict = CascadeModel.from_dict
-
-
 def save_model(model: Record, path) -> None:
     """Write any fitted model, cascade or lookup table, as its JSON document."""
     write_json(path, model.to_dict())
 
 
-def load_model(path) -> Record:
-    """Read any model file, picking its kind by ``method_tag``."""
-    return read_json(path, "model file", _model_from_doc)
-
-
-def _model_from_doc(doc: dict) -> Record:
-    from . import lut  # lut imports this module
+def model_from_dict(doc: dict) -> Record:
+    """Decode any model document, picking its kind by ``method_tag``."""
     if doc["method_tag"] == lut.METHOD_LUT:
         return lut.LutCascade.from_dict(doc)
-    return model_from_dict(doc)
+    return CascadeModel.from_dict(doc)
+
+
+def load_model(path) -> Record:
+    """Read any model file."""
+    return read_json(path, "model file", model_from_dict)

@@ -7,13 +7,16 @@ is tracked anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._record import Record, set_vectors
-from .cascade import CalibrationDataset
 from .errors import DegenerateTable
+
+if TYPE_CHECKING:
+    from .cascade import CalibrationDataset
 
 METHOD_LUT = "lut"
 
@@ -118,9 +121,7 @@ def calibrate_lut_cascade(
     relabeled pairs.
     """
     table_23 = build_lut(d2)
-    relabeled = CalibrationDataset(
-        x=d1.x, y=lut_eval(table_23, d1.y, extrapolation)
-    )
+    relabeled = replace(d1, y=lut_eval(table_23, d1.y, extrapolation))
     table_13 = build_lut(relabeled)
     return LutCascade(
         stage_one=table_23, stage_two=table_13, extrapolation=extrapolation

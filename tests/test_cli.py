@@ -705,7 +705,7 @@ class TestEvaluate:
         assert "not a valid model file" in result.stderr
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("ends", [[0.0], [0.0, 0.5, 1.0]])
+    @pytest.mark.parametrize("ends", [[0.0], [0.0, 0.5, 1.0], [1.0, 0.0], [0.5, 0.5]])
     def test_truth_range_needs_two_ends(self, identity_truth, tmp_path, ends):
         doc = json.loads(identity_truth.read_text())
         doc["range"] = ends
@@ -1236,6 +1236,28 @@ class TestLazyImports:
     def test_import_cli_loads_no_process_pool(self):
         code = f"import sys, cascal.cli; print('loaded:', *(m for m in {self.POOL!r} if m in sys.modules))"
         assert _fresh_python(code) == ["loaded:"]
+
+
+class TestImportGraph:
+    """The package's modules import each other in one direction only."""
+
+    def test_import_lut_loads_no_regression_module(self):
+        code = "import sys, cascal.lut; print('loaded:', *(m for m in ('cascal.cascade', 'cascal.gp') if m in sys.modules))"
+        assert _fresh_python(code) == ["loaded:"]
+
+    def test_load_model_decodes_every_kind_through_model_from_dict(self, monkeypatch):
+        # replaced by name, as the benchmark's tracer replaces it
+        calls = []
+        original = cascade.model_from_dict
+
+        def counting(doc):
+            calls.append(doc["method_tag"])
+            return original(doc)
+
+        monkeypatch.setattr(cascade, "model_from_dict", counting)
+        model = cascade.load_model(GOLDEN / "model_lut.json")
+        assert isinstance(model, lut.LutCascade)
+        assert calls == [lut.METHOD_LUT]
 
 
 class TestScipyImports:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cascal import cascade, gp, sim
-from cascal.errors import NotPositiveDefinite
+from cascal.errors import NotPositiveDefinite, OptimizationFailed
 from cascal.gp import (
     GPPosterior,
     OptimizerConfig,
@@ -72,6 +72,11 @@ class TestTrainingSet:
         with np.errstate(over="raise"):
             ts = TrainingSet(np.zeros(2), np.zeros(2), cov)
         np.testing.assert_array_equal(ts.target_cov, cov)
+
+    def test_nonfinite_cov_rejected(self):
+        cov = np.diag([1.0, np.inf])
+        with pytest.raises(ValueError, match="target_cov must be finite"):
+            TrainingSet(np.zeros(2), np.zeros(2), cov)
 
     def test_indefinite_cov_rejected(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -424,6 +429,16 @@ class TestOptimizeHyperparameters:
 
         monkeypatch.setattr(gp, "_condition", only_at_hp0)
         assert optimize_hyperparameters(ts, hp) == hp
+
+    def test_no_finite_start_raises(self, monkeypatch):
+        # neither hp0 nor any start can be scored
+        def unfactorable(*args, **kwargs):
+            raise NotPositiveDefinite("forced")
+
+        monkeypatch.setattr(gp, "_condition", unfactorable)
+        ts, hp, _ = random_problem(12, 8)
+        with pytest.raises(OptimizationFailed):
+            optimize_hyperparameters(ts, hp)
 
     def test_default_start_is_scale_aware(self):
         x = np.linspace(2.0, 4.0, 20)

@@ -158,3 +158,10 @@ class TestLutCascade:
                              (model.stage_two, back.stage_two)):
             np.testing.assert_array_equal(theirs.breakpoints, mine.breakpoints)
             np.testing.assert_array_equal(theirs.values, mine.values)
+
+    def test_from_dict_rejects_foreign_method_tag(self):
+        d = CalibrationDataset(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        doc = calibrate_lut_cascade(d, d).to_dict()
+        doc["method_tag"] = "bayes"
+        with pytest.raises(ValueError, match="not a LUT model"):
+            LutCascade.from_dict(doc)

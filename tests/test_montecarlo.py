@@ -3,8 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
-from cascal import gp, montecarlo, sim
-from cascal.errors import ConfigError, DatasetFormatError, EmptyCampaign, ScipyIncompatible
+from cascal import gp, lut, montecarlo, sim
+from cascal.errors import (ConfigError, DatasetFormatError, DegenerateTable, EmptyCampaign,
+                           ScipyIncompatible)
 from cascal.montecarlo import (
     METHODS,
     TrialConfig,
@@ -79,6 +80,23 @@ class TestRunTrial:
         r = run_trial(seed, cfg)
         assert r.rejected_draws == rejected
         assert r.rejected_draws == sim.sample_truth_pair(seed, freq_var=150.0)[1]
+
+    def test_method_failure_flags_trial(self, monkeypatch):
+        scored = run_trial(2, SMALL)
+        assert scored.ok
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateTable("x")
+
+        monkeypatch.setattr(lut, "calibrate_lut_cascade", degenerate)
+        r = run_trial(2, SMALL)
+        assert r.flag == "DegenerateTable: x"
+        assert all(np.isnan(r.j_for(m)) for m in METHODS)
+        assert r.hp_stage_one is None and r.hp_stage_two is None
+        # the draw and both datasets are those of the unpatched trial
+        assert r.rejected_draws == scored.rejected_draws
+        assert r.d1_checksum == scored.d1_checksum
+        assert r.d2_checksum == scored.d2_checksum
 
     def test_invalid_removal_config_propagates(self):
         with pytest.raises(ConfigError):
@@ -253,6 +271,18 @@ class TestSummarize:
         js = {m: [0.1] for m in METHODS}
         with pytest.raises(EmptyCampaign):
             summarize(fake_results(js, flags=["boom"]))
+
+    def test_all_zero_costs_give_finite_histograms(self, tmp_path):
+        results = fake_results({m: [0.0, 0.0, 0.0] for m in METHODS})
+        path = tmp_path / "trials.csv"
+        write_trials_csv(results, path)
+        for trials in (results, read_trials_csv(path)):
+            s = summarize(trials, n_bins=4)
+            assert np.all(np.isfinite(s.bin_edges)) and s.bin_edges[-1] > 0.0
+            widths = np.diff(s.bin_edges)
+            for m in METHODS:
+                assert np.all(np.isfinite(s.methods[m].density))
+                assert np.sum(s.methods[m].density * widths) == pytest.approx(1.0)
 
     def test_summary_dict_is_json_ready(self):
         import json
