@@ -13,11 +13,13 @@ Every JSON file read (model, truth, config) goes through :func:`read_json`,
 and any failure to parse or decode one, deep nesting included, names the
 file.  Every CSV file read (dataset, readings, trials) goes through
 :func:`read_table`: columns by name, extra columns ignored, every row as
-wide as the header, blank rows skipped, each cell converted by its
-column's type, and a failure names the file line.  Every CSV file written
-(those and the predict and errors outputs) goes through
-:func:`write_table`, floats as their shortest ``repr``, so they read back
-exactly.
+wide as the header, blank rows skipped, each column converted by its cell
+type, and a failure names the file line.  Every CSV file written (those
+and the predict and errors outputs) goes through :func:`write_table`:
+floats as their shortest ``repr``, so they read back exactly, and str
+cells quoted by the csv module.  Both work a column at a time over blocks
+of :data:`BLOCK_ROWS` rows, so the memory they take beyond the columns
+does not grow with the file.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 import typing
 
@@ -137,39 +140,50 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-# CSV cell types: each converts one cell, or raises ValueError naming
-# what the cell is not.
+#: Rows per block when a CSV table is read or written: beyond its columns,
+#: a table takes the memory of one block.
+BLOCK_ROWS = 4096
 
-def number(cell: str) -> float:
-    """A float cell; ``nan`` and ``inf`` included."""
+
+# CSV cell types: each converts a block of one column's cells to a list, or
+# raises ValueError naming what a cell is not.
+
+def number(cells) -> list:
+    """Float cells; ``nan`` and ``inf`` included."""
     try:
-        return float(cell)
+        return list(map(float, cells))
     except ValueError:
         raise ValueError("non-numeric") from None
 
 
-def finite(cell: str) -> float:
-    """A float cell that must be finite."""
-    value = number(cell)
-    if not math.isfinite(value):
+def finite(cells) -> list:
+    """Float cells that must be finite."""
+    values = number(cells)
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite")
-    return value
+    return values
 
 
-def integer(cell: str) -> int:
-    """An integer cell."""
+def integer(cells) -> list:
+    """Integer cells."""
     try:
-        return int(cell)
+        return list(map(int, cells))
     except ValueError:
         raise ValueError("non-integer") from None
 
 
-def read_table(path, columns: dict):
-    """Yield (file line, cells) for each row of the CSV file at ``path``.
+def text(cells) -> list:
+    """Cells as they are."""
+    return list(cells)
+
+
+def read_table(path, columns: dict) -> list:
+    """The wanted columns of the CSV file at ``path``, each a list.
 
     ``columns`` maps each wanted column's name to its cell type, and the
-    cells come in that order.  Any failure is a DatasetFormatError naming
-    the file line, such as ``row 3: non-finite x``.
+    columns come in that order.  Rows are read and converted a block at a
+    time.  Any failure is a DatasetFormatError naming the file line, such
+    as ``row 3: non-finite x``: the first in the file, as if read row by row.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -180,34 +194,99 @@ def read_table(path, columns: dict):
                     f"{path}: row 1: expected columns {','.join(columns)!r}, "
                     f"got {','.join(header)!r}"
                 )
-            picks = [(header.index(name), name, cell) for name, cell in columns.items()]
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) != len(header):
-                    raise DatasetFormatError(
-                        f"{path}: row {line}: expected {len(header)} columns, "
-                        f"got {len(row)}"
-                    )
-                cells = []
-                for i, name, cell in picks:
-                    try:
-                        cells.append(cell(row[i]))
-                    except ValueError as exc:
-                        raise DatasetFormatError(
-                            f"{path}: row {line}: {exc} {name}"
-                        ) from None
-                yield line, cells
+            picks = [(operator.itemgetter(header.index(name)), cell)
+                     for name, cell in columns.items()]
+            out = [[] for _ in picks]
+            rows = filter(None, reader)  # blank rows are skipped
+            done = 0
+            while True:
+                block, fault = [], None
+                # extend keeps the rows read before a fault: theirs come first
+                try:
+                    block.extend(itertools.islice(rows, BLOCK_ROWS))
+                except (UnicodeDecodeError, csv.Error) as exc:
+                    fault = exc
+                try:
+                    if set(map(len, block)) - {len(header)}:
+                        raise ValueError("a row is not as wide as the header")
+                    for (pick, cell), column in zip(picks, out):
+                        column.extend(cell(map(pick, block)))
+                except ValueError:
+                    index, message = _first_fault(block, header, columns)
+                    line = table_line(path, done + index)
+                    raise DatasetFormatError(f"{path}: row {line}: {message}") from None
+                if fault is not None:
+                    raise fault
+                if len(block) < BLOCK_ROWS:
+                    return out
+                done += len(block)
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
     except csv.Error as exc:  # such as a field past csv.field_size_limit()
         raise DatasetFormatError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
-def write_table(path, header, rows) -> None:
-    """Write a CSV file; give floats as Python floats, written as their repr."""
+def _first_fault(block, header, columns) -> tuple:
+    """(index, message) of the block's first row that breaks the rule."""
+    for index, row in enumerate(block):
+        if len(row) != len(header):
+            return index, f"expected {len(header)} columns, got {len(row)}"
+        for name, cell in columns.items():
+            try:
+                cell([row[header.index(name)]])
+            except ValueError as exc:
+                return index, f"{exc} {name}"
+    raise AssertionError("no faulty row in the block")
+
+
+def table_line(path, index: int) -> int:
+    """The file line that ends row ``index`` (from 0) of the table at ``path``.
+
+    Blank rows are not counted.  Reading keeps no line numbers, so an error
+    finds its line by reading the file again up to that row.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(itertools.islice(filter(None, reader), index, None))
+        return reader.line_num
+
+
+class _Echo:
+    """A file whose write returns its text, so csv.writer.writerow returns the row."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def write_table(path, columns: dict) -> None:
+    """Write equally long columns as a CSV file, a block of rows at a time.
+
+    ``columns`` maps each name to a numpy array or a list of Python floats,
+    ints or strs.  The file holds the bytes ``csv.writer`` writes with
+    ``lineterminator="\\n"``: numbers as their ``repr``, so floats read
+    back exactly, and str cells quoted by the csv module.
+    """
+    header = list(columns)
+    lengths = {len(values) for values in columns.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    row = csv.writer(_Echo(), lineterminator="\n").writerow
+    pad = ("",) * (len(header) - 1)
+
+    def quote(cell: str) -> str:
+        # The cell in a row of the table's width whose other cells are
+        # empty: csv quotes a field by its content, and a row's lone empty
+        # field too.
+        return row((cell, *pad))[:-len(header)]
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(row(header))
+        for start in range(0, max(lengths, default=0), BLOCK_ROWS):
+            cells = []
+            for values in columns.values():
+                block = values[start:start + BLOCK_ROWS]
+                if isinstance(block, np.ndarray):
+                    block = block.tolist()
+                cells.append(map(quote if isinstance(block[0], str) else repr, block))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

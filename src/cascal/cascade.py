@@ -169,15 +169,14 @@ def load_dataset_csv(path) -> CalibrationDataset:
     Raises DatasetFormatError naming the offending (1-based) file line, or
     the file if it holds fewer than 2 rows.
     """
-    rows = [cells for _, cells in read_table(path, {"x": finite, "y": finite})]
-    if len(rows) < 2:
-        raise DatasetFormatError(f"{path}: a dataset needs at least 2 rows, got {len(rows)}")
-    xy = np.array(rows, dtype=float).reshape(-1, 2)
-    return CalibrationDataset(x=xy[:, 0], y=xy[:, 1])
+    x, y = read_table(path, {"x": finite, "y": finite})
+    if len(x) < 2:
+        raise DatasetFormatError(f"{path}: a dataset needs at least 2 rows, got {len(x)}")
+    return CalibrationDataset(x=np.array(x), y=np.array(y))
 
 
 def save_dataset_csv(ds: CalibrationDataset, path) -> None:
-    write_table(path, ["x", "y"], zip(ds.x.tolist(), ds.y.tolist()))
+    write_table(path, {"x": ds.x, "y": ds.y})
 
 
 # ---------------------------------------------------------------------------

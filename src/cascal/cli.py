@@ -18,7 +18,6 @@ numpy loads, and ``--parallel``'s workers inherit them.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import finite, read_json, read_table, write_table
+from ._record import finite, read_json, read_table, table_line, write_table
 from .cascade import CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError
 from .montecarlo import TrialConfig
@@ -252,7 +251,7 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
     if with_variance and not isinstance(model, CascadeModel):
         raise ConfigError("--with-variance requires a regression model; "
                           "lookup tables carry no variance")
-    xs = np.array([x for _, (x,) in read_table(input_path, {"x": finite})])
+    xs = np.array(read_table(input_path, {"x": finite})[0])
     columns = {"x": xs}
     with np.errstate(over="ignore"):  # an overflow is reported below
         if with_variance:
@@ -262,13 +261,12 @@ def predict(model_path, input_path, out_path, with_variance) -> None:
     for name, values in columns.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            # Read again for the file line, which the common path does not keep.
             i = int(bad[0])
-            line, _ = next(itertools.islice(read_table(input_path, {"x": finite}), i, None))
             raise DatasetFormatError(
-                f"{input_path}: row {line}: x = {float(xs[i])!r} gives a non-finite {name}"
+                f"{input_path}: row {table_line(input_path, i)}: "
+                f"x = {float(xs[i])!r} gives a non-finite {name}"
             )
-    write_table(out_path, list(columns), zip(*(c.tolist() for c in columns.values())))
+    write_table(out_path, columns)
     click.echo(f"wrote {out_path}")
 
 
@@ -288,7 +286,7 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     pair = sim.load_truth_pair(truth_path)
     grid, err, j = sim.score(model.apply, pair, cfg.n_quad)
     if errors_path:
-        write_table(errors_path, ["y1", "error"], zip(grid.tolist(), err.tolist()))
+        write_table(errors_path, {"y1": grid, "error": err})
     click.echo(f"J = {j:.9e}")
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cascade, lut, sim
-from ._record import Record, integer, number, read_table, write_json, write_table
+from ._record import (Record, integer, number, read_table, table_line, text, write_json,
+                      write_table)
 from .cascade import CascadeConfig
 from .errors import (CascalError, ConfigError, DatasetFormatError, EmptyCampaign,
                      ScipyIncompatible)
@@ -267,15 +268,16 @@ def summarize(results: list, n_bins: int = N_BINS) -> CampaignSummary:
 
 #: The columns of trials.csv and the type of each cell.
 TRIALS_COLUMNS = {
-    "seed": integer, "j_bayes": number, "j_alt1": number, "j_alt2": number, "flag": str,
+    "seed": integer, "j_bayes": number, "j_alt1": number, "j_alt2": number, "flag": text,
 }
 
 
 def write_trials_csv(results: list, path) -> None:
-    write_table(path, list(TRIALS_COLUMNS), [
-        (int(r.seed), float(r.j_bayes), float(r.j_alt1), float(r.j_alt2), r.flag or "")
-        for r in results
-    ])
+    write_table(path, {
+        "seed": [int(r.seed) for r in results],
+        **{f"j_{m}": [float(r.j_for(m)) for r in results] for m in METHODS},
+        "flag": [r.flag or "" for r in results],
+    })
 
 
 def read_trials_csv(path) -> list:
@@ -285,16 +287,19 @@ def read_trials_csv(path) -> list:
     and nonnegative, as ``cost_j`` makes them; a flagged row's are ``nan``.
     """
     results, seen = [], {}
-    for line, (seed, j_bayes, j_alt1, j_alt2, flag) in read_table(path, TRIALS_COLUMNS):
+    rows = zip(*read_table(path, TRIALS_COLUMNS))
+    for i, (seed, j_bayes, j_alt1, j_alt2, flag) in enumerate(rows):
         if seed in seen:
             raise DatasetFormatError(
-                f"{path}: row {line}: seed {seed} repeats row {seen[seed]}"
+                f"{path}: row {table_line(path, i)}: seed {seed} repeats row "
+                f"{table_line(path, seen[seed])}"
             )
-        seen[seed] = line
+        seen[seed] = i
         result = TrialResult(seed, j_bayes, j_alt1, j_alt2, flag=flag or None)
         if result.ok and not all(0 <= result.j_for(m) < math.inf for m in METHODS):
             raise DatasetFormatError(
-                f"{path}: row {line}: an unflagged trial's costs must be finite and >= 0"
+                f"{path}: row {table_line(path, i)}: "
+                "an unflagged trial's costs must be finite and >= 0"
             )
         results.append(result)
     return results

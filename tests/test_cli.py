@@ -13,7 +13,7 @@ import scipy
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cascal import cascade, gp, lut, montecarlo, sim
+from cascal import _record, cascade, gp, lut, montecarlo, sim
 from cascal.cascade import CascadeConfig
 from cascal.cli import RunConfig, main
 from cascal.montecarlo import TrialConfig, TrialResult
@@ -1000,6 +1000,75 @@ BAD_INPUT = {
         ["predict", "--model", _huge_variance_model(t / "m.json"),
          "--input", g / "in.csv", "--out", t / "o.csv"], t / "m.json"),
 }
+
+
+def _past_first_block(path, header, good, before, fault):
+    """A CSV file whose fault row follows a full block of good rows and then
+    ``before`` (a blank row, or a row whose quoted cell spans lines), and
+    precedes more good rows.
+
+    ``good(k)`` is the k-th good row.  Returns the path and the fault's line.
+    """
+    b = _record.BLOCK_ROWS
+    head = "\n".join([header, *map(good, range(b)), before]) + "\n"
+    path.write_text(head + "\n".join([fault, *map(good, range(b, b + 3))]) + "\n")
+    return path, head.count("\n") + 1
+
+
+TRIALS_BLOCK_SEED = 10**6  # after every seed of the good rows
+
+# Each kind: (header, good row k, a row whose quoted cell spans lines, and
+# the command line from the good files g, a scratch dir t and the file).
+_BLOCK_FILES = {
+    "readings": ("x,note", lambda k: "0.5,", '0.5,"a\nb"', lambda g, t, f: [
+        "predict", "--model", g / "model.json", "--input", f, "--out", t / "o.csv"]),
+    "golden bayes readings": ("x,note", lambda k: "0.5,", '0.5,"a\nb"', lambda g, t, f: [
+        "predict", "--model", GOLDEN / "model_bayes.json", "--input", f,
+        "--out", t / "o.csv"]),
+    "dataset": ("x,y,note", lambda k: "0.5,0.5,", '0.5,0.5,"a\nb"', lambda g, t, f: [
+        "calibrate", "--d1", f, "--d2", g / "d2.csv", "--model", t / "m.json"]),
+    "trials": (TRIALS_HEAD.strip(), lambda k: f"{k},1e-4,2e-4,3e-4,",
+               f'{TRIALS_BLOCK_SEED - 1},nan,nan,nan,"a\nb"', lambda g, t, f: [
+                   "summarize", "--trials", f, "--out", t / "s.json"]),
+}
+
+# (kind, fault, its row, the message after "row N: ")
+_BLOCK_FAULTS = [
+    ("readings", "bad cell", "oops,", "non-numeric x"),
+    ("readings", "short row", "0.5", "expected 2 columns, got 1"),
+    ("readings", "wide row", "0.5,,9", "expected 2 columns, got 3"),
+    ("golden bayes readings", "overflowing prediction", "1.79e308,",
+     "x = 1.79e+308 gives a non-finite y_hat"),
+    ("dataset", "bad cell", "0.5,oops,", "non-numeric y"),
+    ("dataset", "short row", "0.5,0.5", "expected 3 columns, got 2"),
+    ("dataset", "wide row", "0.5,0.5,,9", "expected 3 columns, got 4"),
+    ("trials", "bad cell", f"{TRIALS_BLOCK_SEED},1,two,3,", "non-numeric j_alt1"),
+    ("trials", "short row", f"{TRIALS_BLOCK_SEED},1,2", "expected 5 columns, got 3"),
+    ("trials", "wide row", f"{TRIALS_BLOCK_SEED},1,2,3,,x", "expected 5 columns, got 6"),
+    ("trials", "repeated seed", "0,1e-4,2e-4,3e-4,", "seed 0 repeats row 2"),
+    ("trials", "negative cost", f"{TRIALS_BLOCK_SEED},-5,2e-4,3e-4,",
+     "an unflagged trial's costs must be finite and >= 0"),
+]
+
+
+def _block_case(kind, fault, message, spanning):
+    header, good, quoted, command = _BLOCK_FILES[kind]
+
+    def case(g, t):
+        path, line = _past_first_block(t / "f.csv", header, good,
+                                       quoted if spanning else "", fault)
+        return command(g, t, path), f"{path}: row {line}: {message}"
+    return case
+
+
+# Tables are read in blocks of rows: a fault past the first block, after a
+# blank row or a row of two lines, still names its own file line.
+BAD_INPUT.update({
+    f"{kind} {what} past a block after a {after}": _block_case(kind, row, message,
+                                                                 after != "blank row")
+    for kind, what, row, message in _BLOCK_FAULTS
+    for after in ("blank row", "quoted cell spanning lines")
+})
 
 
 # Each case: a command line whose one undecodable file is t/bad.
