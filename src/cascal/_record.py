@@ -11,15 +11,19 @@ same rule, through :func:`set_vectors`.
 
 Every JSON file read (model, truth, config) goes through :func:`read_json`,
 and any failure to parse or decode one, deep nesting included, names the
-file.  Every CSV file read (dataset, readings, trials) goes through
-:func:`read_table`: columns by name, extra columns ignored, every row as
-wide as the header, blank rows skipped, each column converted by its cell
-type, and a failure names the file line.  Every CSV file written (those
-and the predict and errors outputs) goes through :func:`write_table`:
-floats as their shortest ``repr``, so they read back exactly, and str
-cells quoted by the csv module.  Both work a column at a time over blocks
-of :data:`BLOCK_ROWS` rows, so the memory they take beyond the columns
-does not grow with the file.
+file.  Every CSV file read (dataset, readings, trials) follows one table
+rule, written once as the row-by-row reader :func:`read_rows`: columns by
+name, each wanted column named once in the header, extra columns ignored,
+every row as wide as the header, blank rows skipped, each cell converted
+by its column's cell type, and the first faulty row's file line named.
+:func:`read_table` is its fast path for whole columns: it reads a block
+of :data:`BLOCK_ROWS` rows at a time and, on any fault, leaves the error
+to :func:`read_rows`.  ``trials.csv`` is read row by row, so each row
+carries its line.  Every CSV file written (those and the predict and
+errors outputs) goes through :func:`write_table`: floats as their
+shortest ``repr``, so they read back exactly, and str cells quoted by the
+csv module.  Both block paths work a column at a time, so the memory they
+take beyond the columns does not grow with the file.
 """
 
 from __future__ import annotations
@@ -177,79 +181,79 @@ def text(cells) -> list:
     return list(cells)
 
 
-def read_table(path, columns: dict) -> list:
-    """The wanted columns of the CSV file at ``path``, each a list.
+def read_rows(path, columns: dict):
+    """Yield (file line, cells) for each row of the CSV file at ``path``.
 
-    ``columns`` maps each wanted column's name to its cell type, and the
-    columns come in that order.  Rows are read and converted a block at a
-    time.  Any failure is a DatasetFormatError naming the file line, such
-    as ``row 3: non-finite x``: the first in the file, as if read row by row.
+    This is the table rule.  ``columns`` maps each wanted column's name to
+    its cell type, and the cells come in that order.  Each wanted column is
+    named once in the header, every row is as wide as the header, and blank
+    rows are skipped.  Any failure is a DatasetFormatError naming the file
+    line, such as ``row 3: non-finite x``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [name.strip() for name in next(reader, [])]
             if not set(columns) <= set(header):
-                raise DatasetFormatError(
-                    f"{path}: row 1: expected columns {','.join(columns)!r}, "
-                    f"got {','.join(header)!r}"
-                )
-            picks = [(operator.itemgetter(header.index(name)), cell)
-                     for name, cell in columns.items()]
-            out = [[] for _ in picks]
-            rows = filter(None, reader)  # blank rows are skipped
-            done = 0
-            while True:
-                block, fault = [], None
-                # extend keeps the rows read before a fault: theirs come first
-                try:
-                    block.extend(itertools.islice(rows, BLOCK_ROWS))
-                except (UnicodeDecodeError, csv.Error) as exc:
-                    fault = exc
-                try:
-                    if set(map(len, block)) - {len(header)}:
-                        raise ValueError("a row is not as wide as the header")
-                    for (pick, cell), column in zip(picks, out):
-                        column.extend(cell(map(pick, block)))
-                except ValueError:
-                    index, message = _first_fault(block, header, columns)
-                    line = table_line(path, done + index)
-                    raise DatasetFormatError(f"{path}: row {line}: {message}") from None
-                if fault is not None:
-                    raise fault
-                if len(block) < BLOCK_ROWS:
-                    return out
-                done += len(block)
+                raise DatasetFormatError(f"{path}: row 1: expected columns "
+                                         f"{','.join(columns)!r}, got {','.join(header)!r}")
+            for name in columns:
+                if header.count(name) > 1:
+                    raise DatasetFormatError(f"{path}: row 1: column {name!r} is named "
+                                             f"{header.count(name)} times")
+            picks = [(header.index(name), name, cell) for name, cell in columns.items()]
+            for row in filter(None, reader):
+                line = reader.line_num
+                if len(row) != len(header):
+                    raise DatasetFormatError(f"{path}: row {line}: expected "
+                                             f"{len(header)} columns, got {len(row)}")
+                cells = []
+                for i, name, cell in picks:
+                    try:
+                        cells.extend(cell([row[i]]))
+                    except ValueError as exc:
+                        message = f"{path}: row {line}: {exc} {name}"
+                        raise DatasetFormatError(message) from None
+                yield line, cells
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
     except csv.Error as exc:  # such as a field past csv.field_size_limit()
         raise DatasetFormatError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
-def _first_fault(block, header, columns) -> tuple:
-    """(index, message) of the block's first row that breaks the rule."""
-    for index, row in enumerate(block):
-        if len(row) != len(header):
-            return index, f"expected {len(header)} columns, got {len(row)}"
-        for name, cell in columns.items():
-            try:
-                cell([row[header.index(name)]])
-            except ValueError as exc:
-                return index, f"{exc} {name}"
-    raise AssertionError("no faulty row in the block")
+def read_table(path, columns: dict) -> list:
+    """The wanted columns of the CSV file at ``path``, each a list.
+
+    The columns of :func:`read_rows`, read and converted a block of rows at
+    a time.  On any fault the file is read again by :func:`read_rows`, whose
+    error names the first faulty row.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, [])]
+            if any(header.count(name) != 1 for name in columns):
+                raise ValueError("a wanted column is not named once")
+            picks = [(operator.itemgetter(header.index(name)), cell)
+                     for name, cell in columns.items()]
+            out = [[] for _ in picks]
+            rows = filter(None, reader)  # blank rows are skipped
+            while block := list(itertools.islice(rows, BLOCK_ROWS)):
+                if set(map(len, block)) - {len(header)}:
+                    raise ValueError("a row is not as wide as the header")
+                for (pick, cell), column in zip(picks, out):
+                    column.extend(cell(map(pick, block)))
+            return out
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        pass
+    for _ in read_rows(path, columns):  # up to the first fault, which it raises
+        pass
+    raise AssertionError(f"{path}: read_rows passed a table read_table failed")
 
 
 def table_line(path, index: int) -> int:
-    """The file line that ends row ``index`` (from 0) of the table at ``path``.
-
-    Blank rows are not counted.  Reading keeps no line numbers, so an error
-    finds its line by reading the file again up to that row.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        next(itertools.islice(filter(None, reader), index, None))
-        return reader.line_num
+    """The file line that ends row ``index`` (from 0) of the table at ``path``."""
+    return next(itertools.islice(read_rows(path, {}), index, None))[0]
 
 
 class _Echo:

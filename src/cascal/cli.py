@@ -32,7 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import cascade, lut, montecarlo, sim
-from ._record import finite, read_json, read_table, table_line, write_table
+from ._record import finite, read_json, read_table, table_line, write_json, write_table
 from .cascade import CascadeModel
 from .errors import CascalError, ConfigError, DatasetFormatError
 from .montecarlo import TrialConfig
@@ -200,7 +200,7 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
 def _summarize(trials_path, out_path, n_bins: int) -> None:
     """summary.json from a trials.csv as read back, and its medians printed."""
     summary = montecarlo.summarize(montecarlo.read_trials_csv(trials_path), n_bins)
-    montecarlo.write_summary_json(summary, out_path)
+    write_json(out_path, summary.to_dict())
     click.echo(f"trials: {summary.n_trials} ok, {summary.n_flagged} flagged")
     for name in montecarlo.METHODS:
         m = summary.methods[name]

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cascade, lut, sim
-from ._record import (Record, integer, number, read_table, table_line, text, write_json,
-                      write_table)
+from ._record import Record, integer, number, read_rows, text, write_table
 from .cascade import CascadeConfig
 from .errors import (CascalError, ConfigError, DatasetFormatError, EmptyCampaign,
                      ScipyIncompatible)
@@ -287,23 +286,15 @@ def read_trials_csv(path) -> list:
     and nonnegative, as ``cost_j`` makes them; a flagged row's are ``nan``.
     """
     results, seen = [], {}
-    rows = zip(*read_table(path, TRIALS_COLUMNS))
-    for i, (seed, j_bayes, j_alt1, j_alt2, flag) in enumerate(rows):
+    for line, (seed, j_bayes, j_alt1, j_alt2, flag) in read_rows(path, TRIALS_COLUMNS):
         if seed in seen:
-            raise DatasetFormatError(
-                f"{path}: row {table_line(path, i)}: seed {seed} repeats row "
-                f"{table_line(path, seen[seed])}"
-            )
-        seen[seed] = i
+            raise DatasetFormatError(f"{path}: row {line}: seed {seed} repeats row "
+                                     f"{seen[seed]}")
+        seen[seed] = line
         result = TrialResult(seed, j_bayes, j_alt1, j_alt2, flag=flag or None)
         if result.ok and not all(0 <= result.j_for(m) < math.inf for m in METHODS):
             raise DatasetFormatError(
-                f"{path}: row {table_line(path, i)}: "
-                "an unflagged trial's costs must be finite and >= 0"
+                f"{path}: row {line}: an unflagged trial's costs must be finite and >= 0"
             )
         results.append(result)
     return results
-
-
-def write_summary_json(summary: CampaignSummary, path) -> None:
-    write_json(path, summary.to_dict())

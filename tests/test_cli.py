@@ -1071,6 +1071,32 @@ BAD_INPUT.update({
 })
 
 
+# Of two faults of different kinds, the first row's is named: a trial rule
+# broken before a table rule, and a wanted column named twice in a header.
+BAD_INPUT.update({
+    "trials repeated seed before a bad cell": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", TRIALS_HEAD + "0,1e-4,2e-4,3e-4,\n"
+                                         "0,1e-4,2e-4,3e-4,\n1,1,two,3,\n"),
+         "--out", t / "s.json"], f"{t / 't.csv'}: row 3: seed 0 repeats row 2"),
+    "trials impossible cost before a short row": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", TRIALS_HEAD + "0,1e-4,2e-4,3e-4,\n"
+                                         "1,-5,2e-4,3e-4,\n2,1e-4\n"),
+         "--out", t / "s.json"],
+        f"{t / 't.csv'}: row 3: an unflagged trial's costs must be finite and >= 0"),
+    "readings column named twice": lambda g, t: (
+        ["predict", "--model", g / "model.json",
+         "--input", _write(t / "in.csv", "x,x\n0.5,0.6\n"), "--out", t / "o.csv"], f"{t / 'in.csv'}: row 1: column 'x' is named 2 times"),
+    "dataset column named twice": lambda g, t: (
+        ["calibrate", "--d1", _write(t / "d1.csv", "x,y,x\n0.1,0.1,0.2\n0.2,0.2,0.3\n"),
+         "--d2", g / "d2.csv", "--model", t / "m.json"],
+        f"{t / 'd1.csv'}: row 1: column 'x' is named 2 times"),
+    "trials column named twice": lambda g, t: (
+        ["summarize", "--trials", _write(t / "t.csv", "seed,j_bayes,j_alt1,j_alt2,flag,seed\n"
+                                         "0,1e-4,2e-4,3e-4,,0\n1,1e-4,2e-4,3e-4,,1\n"),
+         "--out", t / "s.json"], f"{t / 't.csv'}: row 1: column 'seed' is named 2 times"),
+})
+
+
 # Each case: a command line whose one undecodable file is t/bad.
 UNDECODABLE = {
     "--d1": lambda g, t: ["calibrate", "--d1", t / "bad", "--d2", g / "d2.csv",

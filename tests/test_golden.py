@@ -18,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from cascal import cascade, gp, lut, montecarlo, sim
+from cascal._record import write_json
 from cascal.cascade import CascadeConfig, CascadeModel
 from cascal.cli import main
 from cascal.gp import OptimizerConfig, TrainingSet
@@ -190,7 +191,7 @@ COSTS = [
 def test_summary_bytes(tmp_path):
     results = [TrialResult(s, a, b, c, flag=f) for s, a, b, c, f in COSTS]
     path = tmp_path / "summary.json"
-    montecarlo.write_summary_json(montecarlo.summarize(results, n_bins=4), path)
+    write_json(path, montecarlo.summarize(results, n_bins=4).to_dict())
     assert path.read_bytes() == golden("summary.json")
 
 

@@ -1,5 +1,6 @@
-"""The CSV table rule: the bytes ``write_table`` writes, and the memory both
-``read_table`` and ``write_table`` take beyond their columns."""
+"""The CSV table rule: ``read_table`` reads what ``read_rows`` reads, the
+bytes ``write_table`` writes, and the memory both ``read_table`` and
+``write_table`` take beyond their columns."""
 
 import csv
 import math
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascal import _record
-from cascal._record import finite, integer, number, read_table, text, write_table
+from cascal._record import (finite, integer, number, read_rows, read_table, text,
+                            write_table)
 from cascal.errors import DatasetFormatError
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -99,6 +101,51 @@ class TestReadTable:
         with pytest.raises(DatasetFormatError) as info:
             read_table(path, {"x": finite, "y": finite})
         assert str(info.value) == f"{path}: {message}"
+
+
+_GOOD_CELLS = ["7", " 2", '"3"', "-4", "0"]
+_ODD_CELLS = ["0.5", "-1e-3", "nan", "inf", "-inf", "oops", "", '"1,5"', '"a\nb"', '"a', "\r"]
+#: A line of a CSV text: mostly good rows, and blank, short, wide, quoted
+#: multi-line, bad, non-finite, non-UTF-8 and past the csv module's field limit.
+_LINES = st.one_of(
+    *[st.lists(st.sampled_from(_GOOD_CELLS), min_size=4, max_size=4).map(",".join)] * 8,
+    *[st.lists(st.sampled_from(_GOOD_CELLS + _ODD_CELLS), min_size=least, max_size=most)
+      .map(",".join) for least, most in [(1, 6), (4, 4), (4, 4)]],
+    st.sampled_from(["", '0.5,0.5,7,"a\nb"', "\udcff", "1" * 140_000]),
+).map(lambda line: line.encode("utf-8", "surrogateescape"))
+_HEADERS = ["x,y,seed,note"] * 5 + ["seed, note ,y,x"] * 5 + [
+    "x,y,seed,x", "y,seed,note,note", "x,y,note,z"]
+
+
+def _columns_or_error(read):
+    """Each column's cells as reprs (so nan equals nan), or the error message."""
+    try:
+        return [list(map(repr, column)) for column in read()]
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+class TestReadRowsIsTheRule:
+    @settings(max_examples=400, deadline=None)
+    @given(header=st.sampled_from(_HEADERS), lines=st.lists(_LINES, max_size=12),
+           bom=st.booleans(), crlf=st.booleans(), with_note=st.booleans(),
+           block_rows=st.integers(1, 5))
+    def test_read_table_reads_what_read_rows_reads(self, tmp_path_factory, header, lines,
+                                                   bom, crlf, with_note, block_rows):
+        path = tmp_path_factory.getbasetemp() / "rule.csv"
+        end = b"\r\n" if crlf else b"\n"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + end.join([header.encode(), *lines]) + end)
+        columns = {"y": number, "x": finite, "seed": integer}
+        if with_note:
+            columns["note"] = text
+
+        def by_rows():
+            rows = [cells for _, cells in read_rows(path, columns)]
+            return list(zip(*rows)) if rows else [[] for _ in columns]
+
+        with mock.patch.object(_record, "BLOCK_ROWS", block_rows):
+            assert _columns_or_error(lambda: read_table(path, columns)) == \
+                _columns_or_error(by_rows)
 
 
 def _extra_memory(fn) -> int:
