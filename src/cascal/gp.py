@@ -338,12 +338,17 @@ def log_marginal_likelihood(
 class OptimizerConfig(Record):
     """Settings for the multi-start L-BFGS-B search over log-parameters.
 
-    ``max_iters`` caps the iterations of each start (L-BFGS-B's
-    ``maxiter``).  ``rel_tol`` is its ``ftol``: a start stops once an
-    iteration lowers the negative evidence by less than that fraction of
-    max(|f|, |f at the start|, 1).  Every log-parameter is bounded to
-    [``log_lower``, ``log_upper``].  The 10 corrections and 20 line-search
-    steps are scipy's defaults and are fixed.
+    ``start_offsets`` are the starts the search may run, each added to
+    every coordinate of the starting point's log-parameters.  With more
+    than three, the middle one of ``sorted(start_offsets)`` and the two
+    outermost run first, and the rest run only if those three do not end
+    at one optimum (see ``optimize_hyperparameters``).  ``max_iters`` caps
+    the iterations of each start (L-BFGS-B's ``maxiter``).  ``rel_tol`` is
+    its ``ftol``: a start stops once an iteration lowers the negative
+    evidence by less than that fraction of max(|f|, |f at the start|, 1).
+    Every log-parameter is bounded to [``log_lower``, ``log_upper``].  The
+    10 corrections and 20 line-search steps are scipy's defaults and are
+    fixed.
     """
 
     start_offsets: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -392,6 +397,12 @@ _NUMERICAL_ERRORS = (CascalError, ValueError, np.linalg.LinAlgError)
 #: max(1, |f(x0)|) for each start.
 _PGTOL = 1e-9
 
+#: The first three starts agree when their endpoints lie within _AGREE_X
+#: of each other in every log-parameter, and their negative evidences
+#: within _AGREE_F * max(1, |best|).
+_AGREE_X = 1e-3
+_AGREE_F = 1e-6
+
 
 def _lbfgsb(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
     """Minimize objective / max(1, |f(x0)|) in the box from x0.
@@ -439,6 +450,15 @@ def _lbfgsb(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
             return x, f * scale
 
 
+def _agree(ends: list[tuple[np.ndarray, float]]) -> bool:
+    """Whether starts that ended at ``ends`` (x, f) found one finite optimum."""
+    fs = [f for _, f in ends]
+    if not all(map(math.isfinite, fs)):
+        return False
+    spread = float(np.ptp(np.array([x for x, _ in ends]), axis=0).max())
+    return spread <= _AGREE_X and max(fs) - min(fs) <= _AGREE_F * max(1.0, abs(min(fs)))
+
+
 def optimize_hyperparameters(
     ts: TrainingSet,
     hp0: Hyperparameters,
@@ -451,13 +471,21 @@ def optimize_hyperparameters(
     Runs L-BFGS-B with the analytic gradient over (log length_scale,
     log signal_variance, log noise_variance), bounded to the search box and
     multi-started by adding each configured offset to every coordinate of
-    hp0's log-parameters.  It drives scipy's L-BFGS-B routine directly
-    (``_lbfgsb``), with the iterates of ``scipy.optimize.minimize``.  Each
-    start's objective is divided by max(1, |f(x0)|): at a tiny starting
-    noise variance the raw gradient is large enough that the first
+    hp0's log-parameters.  With more than three offsets, the middle one of
+    ``sorted(cfg.start_offsets)`` and the two outermost run first (0, -2
+    and 2 by default).  If all three end with a finite f, their endpoints
+    within ``_AGREE_X`` of each other in log space (max-abs) and their f
+    within ``_AGREE_F * max(1, |best f|)``, the search stops there;
+    otherwise the remaining offsets run in their given order.  With three
+    or fewer offsets, all of them run.  It drives scipy's L-BFGS-B routine
+    directly (``_lbfgsb``), with the iterates of ``scipy.optimize.minimize``.
+    Each start's objective is divided by max(1, |f(x0)|): at a tiny
+    starting noise variance the raw gradient is large enough that the first
     (steepest-descent) step would otherwise jump to a corner of the box.
     The best finite result is returned, and it is never worse than hp0
-    itself.
+    itself; a tie goes to hp0, then to the offset that comes earlier in
+    ``cfg.start_offsets``, so a search that runs every start returns what
+    running them in their given order would.
 
     Parameters
     ----------
@@ -498,8 +526,20 @@ def optimize_hyperparameters(
     best_f = -lml0 if np.isfinite(lml0) else np.inf
 
     x0_center = np.clip(_pack(hp0, fix_noise), lo, hi)
-    for offset in cfg.start_offsets:
-        x, f_final = _lbfgsb(objective, np.clip(x0_center + offset, lo, hi), cfg)
+    offsets = cfg.start_offsets
+
+    def start(i: int) -> tuple[np.ndarray, float]:
+        return _lbfgsb(objective, np.clip(x0_center + offsets[i], lo, hi), cfg)
+
+    first = range(len(offsets))
+    if len(offsets) > 3:
+        ranked = sorted(first, key=offsets.__getitem__)
+        first = ranked[len(ranked) // 2], ranked[0], ranked[-1]
+    ends = {i: start(i) for i in first}
+    if len(ends) < len(offsets) and not _agree(list(ends.values())):
+        ends.update((i, start(i)) for i in range(len(offsets)) if i not in ends)
+    for i in sorted(ends):
+        x, f_final = ends[i]
         if f_final < best_f:
             best_f = f_final
             best_hp = _unpack(x, fix_noise)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,11 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     """Run all three methods on one seeded problem.
 
     Any method failure flags the whole trial (costs become NaN) so that
-    summaries only ever compare methods on identical draws.  An installed
-    scipy that rejects the search's call (``ScipyIncompatible``) would fail
-    every trial alike, so it propagates instead.
+    summaries only ever compare methods on identical draws; the flag is
+    the exception's type and message, each run of line breaks in it one
+    space.  An installed scipy that rejects the search's call
+    (``ScipyIncompatible``) would fail every trial alike, so it propagates
+    instead.
     """
     costs: dict[str, float] = {}
     rejected, d1, d2, hp1, hp2, flag = 0, None, None, None, None, None
@@ -130,7 +133,9 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     except ScipyIncompatible:
         raise
     except (CascalError, ValueError) as exc:
-        flag = f"{type(exc).__name__}: {exc}"
+        # one line: the csv module before Python 3.13 writes a lone \r
+        # unquoted, and the row would end there when read back
+        flag = re.sub(r"[\r\n]+", " ", f"{type(exc).__name__}: {exc}")
 
     return TrialResult(
         seed=seed,

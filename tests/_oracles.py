@@ -110,7 +110,8 @@ def optimize_nelder_mead(ts, hp0, mean, cfg=OptimizerConfig(), fix_noise=None):
 
 
 def optimize_scipy_minimize(
-    ts, hp0, cfg=OptimizerConfig(), mean=PriorMean.identity(), fix_noise=None
+    ts, hp0, cfg=OptimizerConfig(), mean=PriorMean.identity(), fix_noise=None,
+    all_starts=False,
 ):
     """``gp.optimize_hyperparameters`` through ``scipy.optimize.minimize``.
 
@@ -119,6 +120,13 @@ def optimize_scipy_minimize(
     tolerances, with every start handed to ``scipy.optimize.minimize``.
     It calls ``gp._condition`` through the module, so a test that replaces
     it replaces it here too.
+
+    With more than three offsets, the middle one of the sorted offsets and
+    the two outermost run first, and the search stops if all three ended
+    finite, within ``gp._AGREE_X`` of each other in every log-parameter and
+    within ``gp._AGREE_F * max(1, |best f|)`` in f; otherwise the rest run.
+    ``all_starts=True`` runs every offset, as the search did before it
+    stopped early: the five-start reference.
     """
     if ts.n < 2:
         raise ValueError(f"need at least 2 training points, got {ts.n}")
@@ -146,11 +154,13 @@ def optimize_scipy_minimize(
     best_f = -lml0 if np.isfinite(lml0) else np.inf
 
     x0_center = np.clip(gp._pack(hp0, fix_noise), lo, hi)
-    for offset in cfg.start_offsets:
+
+    def run(offset):
+        """The start's endpoint and f there; f is inf if f(x0) is not finite."""
         x0 = np.clip(x0_center + offset, lo, hi)
         f0, g0 = objective(x0)
         if not np.isfinite(f0):
-            continue
+            return x0, np.inf
         scale = max(1.0, abs(f0))
 
         def scaled(x):
@@ -165,10 +175,28 @@ def optimize_scipy_minimize(
             bounds=[(lo, hi)] * x0.size,
             options={"maxiter": cfg.max_iters, "ftol": cfg.rel_tol, "gtol": gp._PGTOL},
         )
-        f_final = float(result.fun) * scale
+        return result.x, float(result.fun) * scale
+
+    offsets = cfg.start_offsets
+    kept = range(len(offsets))
+    ends = {}
+    if len(offsets) > 3 and not all_starts:
+        ranked = sorted(kept, key=lambda i: offsets[i])
+        trio = sorted([ranked[len(ranked) // 2], ranked[0], ranked[-1]])
+        ends = {i: run(offsets[i]) for i in trio}
+        xs = np.array([ends[i][0] for i in trio])
+        fs = np.array([ends[i][1] for i in trio])
+        if (
+            np.isfinite(fs).all()
+            and np.abs(xs[:, None, :] - xs[None, :, :]).max() <= gp._AGREE_X
+            and fs.max() - fs.min() <= gp._AGREE_F * max(1.0, abs(fs.min()))
+        ):
+            kept = trio
+    for i in kept:
+        x, f_final = ends[i] if i in ends else run(offsets[i])
         if np.isfinite(f_final) and f_final < best_f:
             best_f = f_final
-            best_hp = gp._unpack(result.x, fix_noise)
+            best_hp = gp._unpack(x, fix_noise)
 
     if not np.isfinite(best_f):
         raise OptimizationFailed(

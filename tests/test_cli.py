@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cascal import _record, cascade, gp, lut, montecarlo, sim
 from cascal.cascade import CascadeConfig
 from cascal.cli import RunConfig, main
+from cascal.errors import DegenerateTable
 from cascal.montecarlo import TrialConfig, TrialResult
 
 runner = CliRunner()
@@ -180,6 +181,27 @@ class TestSimulate:
             TRIALS_HEAD + "0,nan,nan,nan,NonMonotonic: 0\n1,nan,nan,nan,NonMonotonic: 1\n"
         )
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("message", ["bad\rtable", "bad\r\n\ntable"])
+    def test_flag_with_line_breaks_reads_back(self, tmp_path, monkeypatch, message):
+        # simulate reads back its own trials.csv: a flag's line breaks would
+        # end its row early on a Python whose csv module leaves \r unquoted
+        real, calls = lut.calibrate_lut_cascade, []
+
+        def degenerate_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise DegenerateTable(message)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lut, "calibrate_lut_cascade", degenerate_once)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "o"
+        result = invoke("simulate", "--trials", 2, "--out", out, "--config", cfg)
+        assert result.exit_code == 0, result.output
+        flags = [r.flag for r in montecarlo.read_trials_csv(out / "trials.csv")]
+        assert flags == ["DegenerateTable: bad table", None]
 
     def test_changed_scipy_routine_exits_1_with_one_line(self, tmp_path, monkeypatch):
         def changed(*args):

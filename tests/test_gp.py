@@ -734,6 +734,129 @@ class TestScipyMinimizeParity:
                 search(ts, hp0, inverted)
 
 
+class TestStartSchedule:
+    """The middle and the two outermost offsets run first; the rest run
+    only when those three do not end at one finite optimum."""
+
+    @staticmethod
+    def search(monkeypatch, ts, cfg=OptimizerConfig(), condition=None):
+        """The search's result and the x0 of each ``_lbfgsb`` start, in order."""
+        starts = []
+        lbfgsb = gp._lbfgsb
+
+        def recorded(objective, x0, cfg_):
+            starts.append(x0.copy())
+            return lbfgsb(objective, x0, cfg_)
+
+        with monkeypatch.context() as m:
+            m.setattr(gp, "_lbfgsb", recorded)
+            if condition is not None:
+                m.setattr(gp, "_condition", condition)
+            hp = optimize_hyperparameters(ts, default_hp0(ts, IDENTITY), cfg)
+        return hp, starts
+
+    @staticmethod
+    def x0s(ts, cfg, offsets):
+        center = np.clip(gp._pack(default_hp0(ts, IDENTITY), None),
+                         cfg.log_lower, cfg.log_upper)
+        return [np.clip(center + o, cfg.log_lower, cfg.log_upper) for o in offsets]
+
+    @pytest.mark.parametrize("offsets, first", [
+        ((-2.0, -1.0, 0.0, 1.0, 2.0), (0.0, -2.0, 2.0)),
+        ((3.0, -1.0, 0.0, 2.0), (2.0, -1.0, 3.0)),
+    ])
+    def test_three_starts_when_they_agree(self, monkeypatch, offsets, first):
+        ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+        cfg = OptimizerConfig(start_offsets=offsets)
+        hp, starts = self.search(monkeypatch, ts, cfg)
+        assert len(starts) == 3
+        for ran, x0 in zip(starts, self.x0s(ts, cfg, first)):
+            np.testing.assert_array_equal(ran, x0)
+        assert hp == _oracles.optimize_scipy_minimize(ts, default_hp0(ts, IDENTITY), cfg)
+
+    def test_all_starts_when_one_is_steered_away(self, monkeypatch):
+        # a tall narrow bump in the evidence at the +2 start's x0 holds that
+        # start there, far from where 0 and -2 end
+        ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+        cfg = OptimizerConfig()
+        bump_at = self.x0s(ts, cfg, [2.0])[0]
+        height, width = 1e3, 0.2
+
+        def bumped(ts_, hp_, mean, with_grad=False):
+            c = _condition(ts_, hp_, mean, with_grad)
+            d = np.log([hp_.length_scale, hp_.signal_variance, hp_.noise_variance]) - bump_at
+            b = height * np.exp(-0.5 * (d @ d) / width**2)
+            grad = None if c.grad is None else c.grad - b * d / width**2
+            return c._replace(lml=c.lml + b, grad=grad)
+
+        hp, starts = self.search(monkeypatch, ts, cfg, condition=bumped)
+        assert len(starts) == 5
+        with monkeypatch.context() as m:
+            m.setattr(gp, "_condition", bumped)
+            ref = _oracles.optimize_scipy_minimize(ts, default_hp0(ts, IDENTITY),
+                                                   all_starts=True)
+        assert hp == ref
+
+    def test_all_starts_when_one_is_not_finite(self, monkeypatch):
+        # no evidence above the +1 start's length scale: the +2 start
+        # cannot be scored at its x0
+        ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+        limit = 1.5 * default_hp0(ts, IDENTITY).length_scale * np.exp(1.0)
+
+        def fails_above(ts_, hp_, mean, with_grad=False):
+            if hp_.length_scale > limit:
+                raise NotPositiveDefinite("forced")
+            return _condition(ts_, hp_, mean, with_grad)
+
+        hp, starts = self.search(monkeypatch, ts, condition=fails_above)
+        assert len(starts) == 5
+        assert hp.length_scale <= limit
+
+    @pytest.mark.parametrize("step, runs", [(1.0, 5), (1e-4, 3)])
+    def test_a_tie_goes_to_the_earlier_offset(self, monkeypatch, step, runs):
+        # every start ends at one f, step times its own offset from the
+        # center: far apart all five run, and close together three do
+        ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+        cfg = OptimizerConfig()
+        center = self.x0s(ts, cfg, [0.0])[0]
+        calls = []
+
+        def tied(objective, x0, cfg_):
+            calls.append(None)
+            return center + step * (x0 - center), -1e9
+
+        monkeypatch.setattr(gp, "_lbfgsb", tied)
+        hp = optimize_hyperparameters(ts, default_hp0(ts, IDENTITY), cfg)
+        assert len(calls) == runs
+        first = self.x0s(ts, cfg, [cfg.start_offsets[0]])[0]
+        assert hp == gp._unpack(center + step * (first - center), None)
+
+    @pytest.mark.parametrize("offsets", [(), (1.5,), (-1.0, 1.0), (1.0, -1.0, 0.0)])
+    def test_three_or_fewer_offsets_all_run(self, monkeypatch, offsets):
+        ts = campaign_sets(0, 40, 3, 8, 30)["stage one"]
+        cfg = OptimizerConfig(start_offsets=offsets)
+        _, starts = self.search(monkeypatch, ts, cfg)
+        assert len(starts) == len(offsets)
+        for ran, x0 in zip(starts, self.x0s(ts, cfg, offsets)):
+            np.testing.assert_array_equal(ran, x0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "sizes", [(40, 3, 8, 30), (32, 4, 8, 25)], ids=["26/30", "16/25"]
+    )
+    def test_evidence_within_a_micronat_of_all_starts(self, seed, sizes):
+        for name, ts in campaign_sets(seed, *sizes).items():
+            hp0 = default_hp0(ts, IDENTITY)
+            for fix_noise in (None, 0.0):
+                ours = optimize_hyperparameters(ts, hp0, fix_noise=fix_noise)
+                ref = _oracles.optimize_scipy_minimize(
+                    ts, hp0, fix_noise=fix_noise, all_starts=True
+                )
+                loss = (log_marginal_likelihood(ts, ref, IDENTITY)
+                        - log_marginal_likelihood(ts, ours, IDENTITY))
+                assert loss <= 1e-6, (name, fix_noise)
+
+
 class TestSerialization:
     def test_roundtrip_reproduces_predictions(self):
         ts, hp, y_star = random_problem(31, 6, m=5)
