@@ -34,7 +34,7 @@ import numpy as np
 from . import cascade, lut, montecarlo, sim
 from ._record import finite, read_json, read_table, table_line, write_json, write_table
 from .cascade import CascadeModel
-from .errors import CascalError, ConfigError, DatasetFormatError
+from .errors import CascalError, ConfigError, DatasetFormatError, NonMonotonic
 from .montecarlo import TrialConfig
 
 
@@ -84,8 +84,9 @@ class _Cascal(click.Group):
 
     Exit 2: input that cannot be used as given, that is a config, dataset,
     readings, model, truth or trials file that does not parse
-    (ConfigError or DatasetFormatError), or a path that cannot be read or
-    written (an OSError naming a file).
+    (ConfigError or DatasetFormatError), a model and truth whose J is not
+    finite, or a path that cannot be read or written (an OSError naming a
+    file).
     Exit 1: any other toolkit error or ValueError, such as an all-flagged
     campaign or a non-invertible truth.
     """
@@ -191,9 +192,12 @@ def simulate(out_dir, full_scale, dump_truth, config_path, strict_paper,
     _summarize(out / "trials.csv", out / "summary.json", cfg.n_bins)
     if dump_truth:
         for r in results:
-            pair, _ = sim.sample_truth_pair(
-                r.seed, cfg.n_terms, cfg.coeff_var, cfg.freq_var, cfg.noise_var
-            )
+            try:
+                pair, _ = sim.sample_truth_pair(
+                    r.seed, cfg.n_terms, cfg.coeff_var, cfg.freq_var, cfg.noise_var
+                )
+            except NonMonotonic:  # no truth: its trials.csv row is flagged
+                continue
             sim.save_truth_pair(pair, out / f"truth_{r.seed}.json")
 
 
@@ -284,7 +288,11 @@ def evaluate(model_path, truth_path, errors_path, n_quad, config_path) -> None:
     cfg = build_config(config_path, n_quad=n_quad)
     model = cascade.load_model(model_path)
     pair = sim.load_truth_pair(truth_path)
-    grid, err, j = sim.score(model.apply, pair, cfg.n_quad)
+    with np.errstate(all="ignore"):  # a non-finite J is reported below
+        grid, err, j = sim.score(model.apply, pair, cfg.n_quad)
+    if not np.isfinite(j):
+        raise DatasetFormatError(f"{truth_path}: the model's J against this truth "
+                                 f"is not finite ({j})")
     if errors_path:
         write_table(errors_path, {"y1": grid, "error": err})
     click.echo(f"J = {j:.9e}")

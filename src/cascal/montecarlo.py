@@ -108,16 +108,17 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
     (``ScipyIncompatible``) would fail every trial alike, so it propagates
     instead.
     """
-    costs: dict[str, float] = {}
-    rejected, d1, d2, hp1, hp2, flag = 0, None, None, None, None, None
+    reached: dict = {}  # what the trial made before any failure
     try:
-        pair, rejected = sim.sample_truth_pair(
+        pair, reached["rejected_draws"] = sim.sample_truth_pair(
             seed, cfg.n_terms, cfg.coeff_var, cfg.freq_var, cfg.noise_var
         )
         d1 = sim.generate_d1(pair, cfg.n1, sim.substream(seed, 1))
+        reached["d1_checksum"] = dataset_checksum(d1)
         d2 = sim.generate_d2(
             pair, cfg.n_grid, cfg.edge_remove, cfg.center_remove, sim.substream(seed, 2)
         )
+        reached["d2_checksum"] = dataset_checksum(d2)
         stage_one = cascade.calibrate_stage_one(d2, cfg.cascade)
         models = {
             "bayes": cascade.calibrate_cascaded(d1, d2, cfg.cascade, stage_one=stage_one),
@@ -128,27 +129,16 @@ def run_trial(seed: int, cfg: TrialConfig = TrialConfig()) -> TrialResult:
         def stacked(grid):  # one truth inversion scores all three maps
             return np.stack([models[m].apply(grid) for m in METHODS])
 
-        costs = dict(zip(METHODS, sim.cost_j(stacked, pair, cfg.n_quad).tolist()))
-        hp1, hp2 = stage_one.hp, models["bayes"].stage_two.hp
+        return TrialResult(seed, *sim.cost_j(stacked, pair, cfg.n_quad).tolist(),
+                           hp_stage_one=stage_one.hp,
+                           hp_stage_two=models["bayes"].stage_two.hp, **reached)
     except ScipyIncompatible:
         raise
     except (CascalError, ValueError) as exc:
         # one line: the csv module before Python 3.13 writes a lone \r
         # unquoted, and the row would end there when read back
         flag = re.sub(r"[\r\n]+", " ", f"{type(exc).__name__}: {exc}")
-
-    return TrialResult(
-        seed=seed,
-        j_bayes=costs.get("bayes", math.nan),
-        j_alt1=costs.get("alt1", math.nan),
-        j_alt2=costs.get("alt2", math.nan),
-        hp_stage_one=hp1,
-        hp_stage_two=hp2,
-        rejected_draws=rejected,
-        flag=flag,
-        d1_checksum=None if d1 is None else dataset_checksum(d1),
-        d2_checksum=None if d2 is None else dataset_checksum(d2),
-    )
+        return TrialResult(seed, math.nan, math.nan, math.nan, flag=flag, **reached)
 
 
 def check_campaign(n_trials: int, base_seed: int) -> None:

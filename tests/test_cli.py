@@ -259,6 +259,25 @@ class TestSimulate:
             pair.sensor1.freqs, expected.sensor1.freqs
         )
 
+    def test_dump_truth_skips_a_seed_without_truth(self, tmp_path, monkeypatch):
+        # seed 1 at freq_var 150 needs a second draw: its row is flagged,
+        # and it gets no truth file
+        monkeypatch.setattr(sim, "MAX_TRUTH_ATTEMPTS", 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "out"
+        result = invoke(
+            "simulate", "--trials", 2, "--seed", 0, "--freq-var", 150, "--out", out,
+            "--config", cfg, "--dump-truth",
+        )
+        assert result.exit_code == 0, result.output
+        flags = [r.flag for r in montecarlo.read_trials_csv(out / "trials.csv")]
+        assert flags == [None, "NonMonotonic: no invertible truth pair found in 1 "
+                               "draws for seed 1"]
+        expected, _ = sim.sample_truth_pair(0, freq_var=150.0)
+        assert sim.load_truth_pair(out / "truth_0.json").to_dict() == expected.to_dict()
+        assert not (out / "truth_1.json").exists()
+
 
 class TestConfigFile:
     def test_unknown_key_exits_2(self, tmp_path):
@@ -726,6 +745,32 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "not a valid model file" in result.stderr
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("method", ["bayes", "alt1", "lut"])
+    def test_non_finite_j_exits_2(self, tmp_path, method):
+        # a finite but huge range: the truth's inversion overflows
+        doc = json.loads((GOLDEN / "truth.json").read_text())
+        doc["range"] = [-1e300, 1e300]
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(doc))
+        errs = tmp_path / "errors.csv"
+        result = invoke("evaluate", "--model", GOLDEN / f"model_{method}.json",
+                        "--truth", truth_path, "--errors-csv", errs)
+        assert result.exit_code == 2
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"Error: {truth_path}: ")
+        assert "not finite" in result.stderr
+        assert not errs.exists()
+
+    def test_collapsed_device_range_exits_1(self, tmp_path):
+        pair = sim.load_truth_pair(GOLDEN / "truth.json")
+        truth_path = tmp_path / "truth.json"
+        sim.save_truth_pair(dataclasses.replace(pair, range=(0.0, 1e-300)), truth_path)
+        result = invoke("evaluate", "--model", GOLDEN / "model_bayes.json",
+                        "--truth", truth_path)
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "Error: device sensor range collapsed; cannot evaluate cost\n")
 
     @pytest.mark.parametrize("ends", [[0.0], [0.0, 0.5, 1.0], [1.0, 0.0], [0.5, 0.5]])
     def test_truth_range_needs_two_ends(self, identity_truth, tmp_path, ends):

@@ -87,6 +87,13 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet.exact(np.array([0.0, np.nan]), np.zeros(2))
 
+    def test_nonfinite_residual_rejected(self):
+        # finite inputs and targets whose prior mean overflows
+        ts = TrainingSet.exact(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        mean = PriorMean("affine", slope=1e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            ts.residual(mean)
+
 
 class TestFit:
     def test_empty_training_set(self):

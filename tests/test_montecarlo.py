@@ -55,7 +55,7 @@ class TestRunTrial:
     def test_same_seed_identical_result(self):
         a = run_trial(3, SMALL)
         b = run_trial(3, SMALL)
-        assert a == b  # wall times excluded from comparison
+        assert a == b  # every field: costs, hyperparameters, draws, checksums
 
     def test_methods_consumed_identical_datasets(self):
         r = run_trial(5, SMALL)
@@ -100,6 +100,18 @@ class TestRunTrial:
         assert r.rejected_draws == scored.rejected_draws
         assert r.d1_checksum == scored.d1_checksum
         assert r.d2_checksum == scored.d2_checksum
+
+    def test_failed_draw_flags_trial(self, monkeypatch):
+        # seed 1 at freq_var 150 needs a second draw
+        monkeypatch.setattr(sim, "MAX_TRUTH_ATTEMPTS", 1)
+        cfg = TrialConfig(freq_var=150.0, n_grid=40, edge_remove=3,
+                          center_remove=8, n1=30)
+        r = run_trial(1, cfg)
+        assert r.flag == "NonMonotonic: no invertible truth pair found in 1 draws for seed 1"
+        assert all(np.isnan(r.j_for(m)) for m in METHODS)
+        assert r.rejected_draws == 0
+        assert r.d1_checksum is None and r.d2_checksum is None
+        assert r.hp_stage_one is None and r.hp_stage_two is None
 
     def test_costs_within_tolerance_of_all_starts(self, monkeypatch):
         # ROADMAP aim 1's per-seed tolerance, set before measuring: stopping

@@ -232,6 +232,13 @@ class TestSampleTruthPair:
         assert is_monotone(pair.sensor1)
         assert is_monotone(pair.sensor2)
 
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        # seed 1 at freq_var 150 needs a second draw
+        monkeypatch.setattr(sim, "MAX_TRUTH_ATTEMPTS", 1)
+        with pytest.raises(NonMonotonic, match="^no invertible truth pair found in 1 "
+                                               "draws for seed 1$"):
+            sample_truth_pair(1, freq_var=150.0)
+
 
 class TestGenerateD2:
     def test_default_removals_yield_64_pairs(self):
